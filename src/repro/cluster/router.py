@@ -13,7 +13,8 @@ update/query/replay API with the same shapes as a lone server:
   ascending order of their
   :class:`~repro.cluster.shardmap.CellDistanceBound` lower bound, and
   probing stops as soon as the next bound strictly exceeds the current
-  k-th distance.  The bound is a true lower bound and ties
+  k-th distance.  Shards are discovered lazily, so the bound search
+  stops there too.  The bound is a true lower bound and ties
   (``bound == d_k``) are still probed — an equidistant object with a
   smaller id would enter the canonical ``(distance, id)`` order — so the
   merged answer is byte-identical to a single unsharded server's.
@@ -514,32 +515,23 @@ class ShardRouter:
 
         def fan_out() -> None:
             nonlocal pruned
-            candidates = sorted(
-                (
-                    self.bound.lower_bound_to_cells(
-                        q.location, self.shard_map.cells_of(sid)
-                    ),
-                    sid,
-                )
-                for sid in self.shard_map.shard_ids
-                if sid != home_sid
+            ranked = rank_results(pairs, q.k)
+            candidates = self.bound.shards_by_bound(
+                q.location, self.shard_map, home_sid
             )
             for pos, (lb, sid) in enumerate(candidates):
-                if lb == _INF:
-                    # cell-graph-unreachable => network-unreachable: the
-                    # shard cannot hold a finite-distance answer
-                    pruned += 1
-                    continue
-                ranked = rank_results(pairs, q.k)
-                if len(ranked) >= q.k and lb > ranked[-1][1]:
-                    # candidates are sorted by bound: everything from
-                    # here on is prunable too (ties still probe — an
-                    # equidistant lower id would enter the result)
-                    pruned += len(candidates) - pos
+                # candidates arrive sorted by bound, so everything from
+                # here on is prunable too: an infinite bound means
+                # cell-graph- hence network-unreachable, and ties with
+                # d_k still probe (an equidistant lower id would enter
+                # the result)
+                if lb == _INF or (len(ranked) >= q.k and lb > ranked[-1][1]):
+                    pruned += self.shard_map.num_shards - 1 - pos
                     break
                 scratch = self._scratch()
                 answer = self._probe(sid, q, scratch, role="fanout")
                 pairs.extend((e.obj, e.distance) for e in answer.entries)
+                ranked = rank_results(pairs, q.k)
                 probed.append(sid)
                 records.extend(scratch.query_records)
                 answers.append(answer)
@@ -659,17 +651,19 @@ class ShardRouter:
         within ``radius``, merge in canonical ``(distance, id)`` order."""
         self._maybe_fail(t_now)
         home_sid = self.home_shard(location)
+        probed = [home_sid]
+        for lb, sid in self.bound.shards_by_bound(
+            location, self.shard_map, home_sid
+        ):
+            if lb > radius:
+                break
+            probed.append(sid)
+        pruned = self.shard_map.num_shards - len(probed)
+        if pruned and self._inst is not None:
+            self._inst.pruned.inc(pruned)
         pairs: list[tuple[int, float]] = []
         cells_cleaned = rounds = 0
-        for sid in self.shard_map.shard_ids:
-            if sid != home_sid:
-                lb = self.bound.lower_bound_to_cells(
-                    location, self.shard_map.cells_of(sid)
-                )
-                if lb > radius:
-                    if self._inst is not None:
-                        self._inst.pruned.inc()
-                    continue
+        for sid in probed:
             answer = self.shards[sid].index.range_query(
                 location, radius, t_now=t_now
             )

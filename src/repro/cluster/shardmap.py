@@ -11,12 +11,16 @@ shard without remapping anything else.
 :class:`CellDistanceBound` supplies the scatter-gather pruning rule: a
 sound lower bound on the network distance from a query location to any
 object homed in a given cell range.  A shard whose bound cannot beat the
-current k-th distance holds no answer and is never probed.
+current k-th distance holds no answer and is never probed;
+:meth:`CellDistanceBound.shards_by_bound` hands the router shards in
+bound order, settling only as much of the cell graph as it pulls.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.core.graph_grid import GraphGrid
@@ -216,9 +220,11 @@ class CellDistanceBound:
         ]
         for (a, b), w in best.items():
             self._adj[a].append((b, w))
-        self._cache: dict[int, list[float]] = {}
+        #: one row per source cell, as packed float64 (8 bytes a cell, a
+        #: quarter of a float list); reads return the same Python floats
+        self._cache: dict[int, array] = {}
 
-    def distances_from(self, cell: int) -> list[float]:
+    def distances_from(self, cell: int) -> array:
         """Cell-graph shortest distances from ``cell`` (cached Dijkstra)."""
         cached = self._cache.get(cell)
         if cached is not None:
@@ -237,8 +243,8 @@ class CellDistanceBound:
                 if nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-        self._cache[cell] = dist
-        return dist
+        row = self._cache[cell] = array("d", dist)
+        return row
 
     def query_cells(self, location: NetworkLocation) -> tuple[int, int]:
         """The cells of the query edge's source and destination vertex."""
@@ -259,3 +265,60 @@ class CellDistanceBound:
         ds = self.distances_from(src_cell)
         dd = self.distances_from(dst_cell)
         return min(min(ds[c], dd[c]) for c in cells)
+
+    def shards_by_bound(
+        self, location: NetworkLocation, shard_map: ShardMap, exclude: int
+    ) -> Iterator[tuple[float, int]]:
+        """Yield ``(lower bound, shard id)`` for every shard but
+        ``exclude``, in ascending ``(bound, id)`` order, lazily.
+
+        One two-source Dijkstra over the cell graph, seeded with both
+        query cells at 0, settles cells in distance order; the first
+        settled cell of a shard is the min over its range, so the shard
+        is released then.  Shards first reached at the same distance are
+        held until a farther cell pops and released together, sorted by
+        id; shards never reached follow as ``(inf, id)``, sorted by id.
+        The consumer stops pulling once a bound exceeds its pruning
+        radius, so the search settles only the cells within that radius.
+
+        The output equals ``sorted((lower_bound_to_cells(location,
+        shard_map.cells_of(s)), s) for s != exclude)`` bit for bit: float
+        addition is monotone, so ``fl(min(a, b) + w) == min(fl(a + w),
+        fl(b + w))`` and the two-source fixed point is the elementwise
+        min of the two single-source ones.  No row is cached.
+        """
+        src_cell, dst_cell = self.query_cells(location)
+        adj = self._adj
+        shard_of_cell = shard_map._shard_of_cell
+        dist = [_INF] * self.num_cells
+        dist[src_cell] = dist[dst_cell] = 0.0
+        heap = sorted({(0.0, src_cell), (0.0, dst_cell)})
+        seen = {exclude}
+        unseen = len(shard_map._range_of_shard.keys() - seen)
+        tied: list[int] = []
+        tied_d = 0.0
+        while heap and unseen:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            if tied and d > tied_d:
+                tied.sort()
+                for sid in tied:
+                    yield tied_d, sid
+                tied.clear()
+            sid = shard_of_cell[u]
+            if sid not in seen:
+                seen.add(sid)
+                tied.append(sid)
+                tied_d = d
+                unseen -= 1
+            for v, w in adj[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        tied.sort()
+        for sid in tied:
+            yield tied_d, sid
+        for sid in sorted(s for s in shard_map._range_of_shard if s not in seen):
+            yield _INF, sid

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import functools
+import heapq
 import random
+from array import array
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import CellDistanceBound, ShardMap, ShardRange
+from repro.cluster import CellDistanceBound, ShardMap, ShardRange, ShardRouter
 from repro.config import GGridConfig
 from repro.core.graph_grid import GraphGrid
 from repro.errors import ClusterError
+from repro.mobility.workload import make_workload
+from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
 
 from tests.conformance.oracle import oracle_vertex_distances
@@ -110,15 +117,17 @@ class TestSplit:
             m.split(7, at_cell=4)  # unknown shard
 
 
+@pytest.fixture(scope="module")
+def grid(small_graph):
+    return GraphGrid.build(small_graph, GGridConfig(eta=3, delta_b=8))
+
+
+@pytest.fixture(scope="module")
+def bound(grid):
+    return CellDistanceBound(grid)
+
+
 class TestCellDistanceBound:
-    @pytest.fixture(scope="class")
-    def grid(self, small_graph):
-        return GraphGrid.build(small_graph, GGridConfig(eta=3, delta_b=8))
-
-    @pytest.fixture(scope="class")
-    def bound(self, grid):
-        return CellDistanceBound(grid)
-
     def test_self_distance_zero(self, bound):
         for cell in range(bound.num_cells):
             assert bound.distances_from(cell)[cell] == 0.0
@@ -172,8 +181,6 @@ class TestCellDistanceBound:
     def test_unreachable_cells_bound_to_infinity(self):
         """Two disconnected components: the bound must report inf, which
         the router treats as 'this shard cannot hold any answer'."""
-        from repro.roadnet.graph import RoadNetwork
-
         g = RoadNetwork()
         for i in range(4):
             g.add_vertex(float(i % 2), float(i // 2))
@@ -185,3 +192,155 @@ class TestCellDistanceBound:
         c2 = grid.cell_of_vertex[2]
         if c0 != c2:
             assert bound.distances_from(c0)[c2] == float("inf")
+
+    def test_rows_are_packed_and_equal_a_plain_list_dijkstra(
+        self, grid, bound
+    ):
+        """Rows are stored as ``array('d')``; every read is the float a
+        plain-list Dijkstra over the same cell graph computes."""
+        cov = grid.cell_of_vertex
+        adj: list[dict[int, float]] = [{} for _ in range(bound.num_cells)]
+        for e in grid.graph.edges():
+            a, b = cov[e.source], cov[e.dest]
+            if a != b and e.weight < adj[a].get(b, float("inf")):
+                adj[a][b] = e.weight
+        for cell in range(bound.num_cells):
+            want = [float("inf")] * bound.num_cells
+            want[cell] = 0.0
+            heap = [(0.0, cell)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > want[u]:
+                    continue
+                for v, w in adj[u].items():
+                    if d + w < want[v]:
+                        want[v] = d + w
+                        heapq.heappush(heap, (d + w, v))
+            row = bound.distances_from(cell)
+            assert isinstance(row, array) and row.typecode == "d"
+            assert list(row) == want
+
+
+def two_source_graph(seed: int, two_components: bool) -> RoadNetwork:
+    """A random directed graph whose weights force float rounding
+    (0.1 + 0.2) and distance ties (0, 1, 2); optionally two components
+    with no edge between them, so some shards bound to ``inf``."""
+    rng = random.Random(seed)
+    g = RoadNetwork()
+    n = 36
+    halves = [range(0, n // 2), range(n // 2, n)] if two_components else [range(n)]
+    for half, vertices in enumerate(halves):
+        for _ in vertices:
+            g.add_vertex(rng.random() + 2.0 * half, rng.random())
+    weights = (0.1, 0.2, 0.3, 0.7, 1.0, 2.0) * 4 + (0.0,)
+    for vertices in halves:
+        vs = list(vertices)
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            g.add_edge(a, b, rng.choice(weights))
+        for _ in range(2 * len(vs)):
+            a, b = rng.sample(vs, 2)
+            g.add_edge(a, b, rng.choice(weights))
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def bound_for(seed: int, two_components: bool) -> CellDistanceBound:
+    g = two_source_graph(seed, two_components)
+    return CellDistanceBound(
+        GraphGrid.build(g, GGridConfig(delta_c=3, eta=3, delta_b=8))
+    )
+
+
+def eager_order(bound, location, shard_map, exclude):
+    return sorted(
+        (bound.lower_bound_to_cells(location, shard_map.cells_of(s)), s)
+        for s in shard_map.shard_ids
+        if s != exclude
+    )
+
+
+class TestShardsByBound:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 5),
+        two_components=st.booleans(),
+        same_cell=st.booleans(),
+        num_shards=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_equals_eager_sorted_bounds(
+        self, seed, two_components, same_cell, num_shards, data
+    ):
+        """The lazy two-source order is the eager per-shard sort, floats
+        compared with ``==``: after any splits, for query edges inside
+        one cell and across two, and with unreachable (``inf``) shards."""
+        bound = bound_for(seed, two_components)
+        grid, g = bound.grid, bound.grid.graph
+        m = ShardMap.balanced(bound.num_cells, min(num_shards, bound.num_cells))
+        for _ in range(data.draw(st.integers(0, 3), label="splits")):
+            wide = [r for r in m.ranges if r.num_cells > 1]
+            if not wide:
+                break
+            r = data.draw(st.sampled_from(wide), label="split shard")
+            m.split(r.shard_id, data.draw(st.integers(r.lo + 1, r.hi), label="at"))
+        edges = [
+            e for e in g.edges()
+            if (grid.cell_of_vertex[e.source] == grid.cell_of_vertex[e.dest])
+            == same_cell
+        ]
+        assume(edges)
+        e = data.draw(st.sampled_from(edges), label="edge")
+        loc = NetworkLocation(e.id, data.draw(st.floats(0.0, e.weight)))
+        home = m.shard_of_cell(grid.cell_of_edge(e.id))
+        assert list(bound.shards_by_bound(loc, m, home)) == eager_order(
+            bound, loc, m, home
+        )
+
+    def test_two_components_yield_inf_bounds(self):
+        bound = bound_for(0, True)
+        grid = bound.grid
+        m = ShardMap.balanced(bound.num_cells, 4)
+        loc = NetworkLocation(0, 0.0)
+        home = m.shard_of_cell(grid.cell_of_edge(0))
+        got = list(bound.shards_by_bound(loc, m, home))
+        assert got == eager_order(bound, loc, m, home)
+        assert any(lb == float("inf") for lb, _ in got)
+
+    def test_replay_never_fills_the_row_cache(
+        self, small_graph, fast_config
+    ):
+        """A seeded sharded replay, kNN and range, discovers shards
+        without a single cached per-cell row."""
+        workload = make_workload(
+            small_graph, num_objects=40, duration=6.0, num_queries=12, k=4,
+            seed=2,
+        )
+        with ShardRouter(small_graph, fast_config, num_shards=4) as router:
+            _, answers = router.replay(workload, collect_answers=True)
+            for q in workload.queries[:4]:
+                router.range_query(q.location, 2.0, t_now=6.0)
+            assert any(len(a.entries) for a in answers)
+            assert router.bound._cache == {}
+
+    def test_first_item_settles_part_of_the_cell_graph(self, grid, bound):
+        """Pulling one shard settles only the cells up to the nearest
+        foreign shard (and one tie-breaking pop past it)."""
+
+        class CountingAdj(list):
+            settled = 0
+
+            def __getitem__(self, cell):
+                CountingAdj.settled += 1
+                return super().__getitem__(cell)
+
+        m = ShardMap.balanced(bound.num_cells, 4)
+        counted = CellDistanceBound(grid)
+        counted._adj = CountingAdj(counted._adj)
+        rng = random.Random(5)
+        for _ in range(10):
+            loc = random_location(grid.graph, rng)
+            home = m.shard_of_cell(grid.cell_of_edge(loc.edge_id))
+            CountingAdj.settled = 0
+            first = next(counted.shards_by_bound(loc, m, home))
+            assert first == eager_order(bound, loc, m, home)[0]
+            assert CountingAdj.settled < bound.num_cells
