@@ -112,9 +112,14 @@ class MessageCleaner:
                 whose newest message lives in a cell outside this pass.
             use_gpu: run steps 2-4 on the device (the paper's pipeline).
                 ``False`` deduplicates on the host instead — the
-                degraded-mode rung used when the device is faulting; the
-                result (and the compacted lists) are identical, only the
-                X-shuffle/transfer machinery is bypassed.
+                degraded-mode rung used when the device is faulting, with
+                the X-shuffle/transfer machinery bypassed.  Both paths
+                keep a message with the greatest ``(t, flag)`` key per
+                object, so the result and the compacted lists agree
+                while no object has two messages with equal ``(t,
+                flag)``.  When it does, the host keeps the first such
+                message and the write race may keep another one, so the
+                paths can disagree on same-timestamp moves.
         """
         with span("clean_cells") as sp:
             result = self._clean(lists, t_now, object_table, use_gpu)
@@ -155,11 +160,7 @@ class MessageCleaner:
 
         try:
             if use_gpu:
-                tagged_buckets = [
-                    [CellMessage.tag(m, cell) for m in bucket.messages]
-                    for cell, bucket in live_pairs
-                ]
-                latest = self._run_gpu_pipeline(tagged_buckets, result)
+                latest = self._run_gpu_pipeline(live_pairs, result)
             else:
                 latest = self._dedup_host(live_pairs, result)
         except Exception:
@@ -220,12 +221,13 @@ class MessageCleaner:
     ) -> dict[int, CellMessage]:
         """Degraded-mode steps 2-4 on the host: per-object latest message.
 
-        Semantically identical to X-shuffle + collect (which keep the
-        message with the greatest :attr:`CellMessage.sort_key` per
-        object, removal markers losing timestamp ties) without touching
-        the device.  Used by the resilience ladder when the GPU is
-        faulting; the wall time it costs is charged through the normal
-        CPU-phase measurement of the caller.
+        Keeps, like X-shuffle + collect, a message with the greatest
+        :attr:`CellMessage.sort_key` per object (removal markers losing
+        timestamp ties) without touching the device; among messages tied
+        on that key the two may pick different ones (see :meth:`clean`).
+        Used by the resilience ladder when the GPU is faulting; the wall
+        time it costs is charged through the normal CPU-phase measurement
+        of the caller.
 
         Above ``_HOST_DEDUP_SCALAR_MAX`` messages the scan runs over the
         buckets' cached ``(obj, t, removal)`` columns with one lexsort
@@ -290,28 +292,30 @@ class MessageCleaner:
 
     def _run_gpu_pipeline(
         self,
-        tagged_buckets: list[list[CellMessage]],
+        live_pairs: list[tuple[int, Bucket]],
         result: CleaningResult,
     ) -> dict[int, CellMessage]:
         """Steps 2-4 (GPU side): ship, X-shuffle and collect."""
-        if not tagged_buckets:
+        if not live_pairs:
             return {}
         config = self.config
         bundle_size = config.bundle_size
-        num_bundles = -(-len(tagged_buckets) // bundle_size)
+        num_bundles = -(-len(live_pairs) // bundle_size)
 
         # -- step 2: prepare device memory for T --
         table = IntermediateTable(num_bundles)
         self.gpu.memory.store("clean.T", table, nbytes=0)
 
         # -- step 3: pipelined transfer + parallel X-shuffle cleaning --
+        # the kernel tags a message with its cell only when storing it
+        # into T, so the buckets ship as (cell, messages) pairs
+        buckets = [(cell, bucket.messages) for cell, bucket in live_pairs]
         chunk_size = _CHUNK_BUNDLES * bundle_size
         chunks = [
-            tagged_buckets[i : i + chunk_size]
-            for i in range(0, len(tagged_buckets), chunk_size)
+            buckets[i : i + chunk_size] for i in range(0, len(buckets), chunk_size)
         ]
 
-        def process(chunk_index: int, chunk: list[list[CellMessage]]) -> int:
+        def process(chunk_index: int, chunk: list[tuple[int, list[Message]]]) -> int:
             first_bundle = chunk_index * _CHUNK_BUNDLES
             return self.gpu.launch(
                 "GPU_X_Shuffle",
@@ -325,7 +329,13 @@ class MessageCleaner:
             )
 
         with span("xshuffle_dedup") as sp:
-            processed = self._stream.run(chunks, process, name="clean.buckets")
+            processed = self._stream.run(
+                chunks,
+                process,
+                name="clean.buckets",
+                chunk_nbytes=lambda chunk: MESSAGE_BYTES
+                * sum(len(messages) for _, messages in chunk),
+            )
             result.messages_processed += sum(processed)
             sp.set_attr("chunks", len(chunks))
             sp.set_attr("messages", sum(processed))

@@ -41,6 +41,11 @@ class Bucket:
     _cols: tuple[np.ndarray, np.ndarray, np.ndarray, int] | None = field(
         default=None, repr=False, compare=False
     )
+    #: running max of the message timestamps, kept by :meth:`append`
+    _t: float = field(default=float("-inf"), init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._t = max((m.t for m in self.messages), default=float("-inf"))
 
     @property
     def n(self) -> int:
@@ -72,7 +77,7 @@ class Bucket:
     @property
     def t(self) -> float:
         """Latest message time (max over the bucket); ``-inf`` if empty."""
-        return max(m.t for m in self.messages) if self.messages else float("-inf")
+        return self._t
 
     @property
     def full(self) -> bool:
@@ -86,6 +91,8 @@ class Bucket:
                 f"(cell={where}, n={self.n})"
             )
         self.messages.append(message)
+        if message.t > self._t:
+            self._t = message.t
 
     def device_nbytes(self) -> int:
         """Transfer size: the paper ships only the used message slots."""

@@ -11,13 +11,33 @@ at most ``mu(eta)`` distinct messages of any object survive a round, so
 the final racy writes into the intermediate table ``T`` need only be
 repeated ``mu(eta)`` times to ensure the newest message lands.
 
-The write race is simulated faithfully: every repetition, all lanes read a
-snapshot of ``T``, decide whether to write, and the writes are applied in
-a seeded random order with last-write-wins — exactly the hazard a real
-GPU exhibits.  The convergence argument (each repetition strictly
-increases the stored timestamp while a newer message exists, and there
-are at most ``mu(eta)`` distinct values) is what the property tests
-exercise.
+The kernel reproduces the lane-by-lane execution exactly without
+simulating every lane, because of two facts about the algorithm:
+
+1. **A lane only ever holds messages of the object it read that round.**
+   A ``Gamma`` hit requires ``cached.obj == m.obj`` and the butterfly only
+   moves values between lanes, so objects never interact.  The shuffle
+   masks XOR to ``2^eta - 1``, so the value read at lane ``j`` always ends
+   at lane ``j ^ (2^eta - 1)``, whatever its content: the survivors in
+   lane order are the reads in *reversed* lane order.  An object read
+   once keeps its message; only objects read two or more times need the
+   cache-and-shuffle simulation, over their own tokens and caches.
+2. **Write-race repetitions after the first one without writers are
+   no-ops.**  A repetition with no writers leaves ``T`` unchanged, so
+   every later one finds none either, and shuffling an empty writer list
+   draws nothing from the RNG.  The race stops there — right after the
+   first repetition when every object was read once, since each writer's
+   slot then holds its own message.
+
+The write race itself is simulated faithfully: every repetition, the
+survivors read a snapshot of ``T``, those newer than their slot write,
+and the writes are applied in a seeded random order with last-write-wins
+— exactly the hazard a real GPU exhibits.  The RNG draws, the atomic
+write count and the insertion order of ``T`` are those of the per-lane
+simulation, which the tests keep as an oracle
+(``tests/core/xshuffle_oracle.py``) and compare against on random
+launches.  Buckets arrive as ``(cell, messages)`` pairs; a message is
+tagged with its cell only when it is stored into ``T``.
 
 Deviations from the paper's pseudocode (both required for Theorem 1 to
 hold, see ``tests/core/test_xshuffle.py``):
@@ -44,9 +64,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.core.messages import CellMessage
+from repro.core.messages import CellMessage, Message
 from repro.core.mu import mu
-from repro.simgpu import warp as warp_mod
 from repro.simgpu.kernel import KernelContext
 
 
@@ -78,7 +97,7 @@ class IntermediateTable:
 
 def x_shuffle_kernel(
     ctx: KernelContext,
-    buckets: list[list[CellMessage]],
+    buckets: list[tuple[int, list[Message]]],
     eta: int,
     table: IntermediateTable,
     first_bundle: int,
@@ -88,8 +107,8 @@ def x_shuffle_kernel(
 
     Args:
         ctx: kernel context for work accounting.
-        buckets: one message bucket per thread (ragged; short/empty
-            buckets read ``None`` past their end).
+        buckets: one ``(cell, messages)`` bucket per thread (ragged;
+            short/empty buckets read ``None`` past their end).
         eta: bundle-size exponent (``2^eta`` lanes per bundle).
         table: the shared intermediate table ``T``.
         first_bundle: global bundle index of this batch's first bundle
@@ -100,17 +119,55 @@ def x_shuffle_kernel(
     mu_eta = mu(eta)
     processed = 0
     atomic_writes = 0
+    top = bundle_size - 1
     for start in range(0, len(buckets), bundle_size):
-        bundle = buckets[start : start + bundle_size]
-        bundle = bundle + [[] for _ in range(bundle_size - len(bundle))]
         bundle_id = first_bundle + start // bundle_size
-        done, writes = _clean_bundle(bundle, eta, mu_eta, table, bundle_id, rng)
-        processed += done
-        atomic_writes += writes
+        # rounds run from the longest bucket's last message down to 0, so
+        # the reading lanes only grow: a lane joins once ``i`` drops below
+        # its bucket length.  Each is keyed by the lane its read survives
+        # in, ``lane ^ top``, i.e. reversed lane order.
+        joining: dict[int, list[tuple[int, int, list[Message]]]] = {}
+        for lane, (cell, ms) in enumerate(buckets[start : start + bundle_size]):
+            if ms:
+                joining.setdefault(len(ms), []).append((lane ^ top, cell, ms))
+        alive: list[tuple[int, int, list[Message]]] = []
+        lengths = sorted(joining, reverse=True)
+        for hi, lo in zip(lengths, lengths[1:] + [0]):
+            alive += joining[hi]
+            alive.sort()
+            positions, live_cells, columns = zip(*alive)
+            n = len(columns)
+            processed += n * (hi - lo)
+            for i in range(hi - 1, lo - 1, -1):
+                # every live lane reads one message from its bucket (line 4)
+                msgs = [ms[i] for ms in columns]
+                cells = live_cells
+                repeated = n > 1 and len({m.obj for m in msgs}) < n
+                if repeated:
+                    msgs, cells = _shuffle_repeated(msgs, cells, positions, eta)
+                # racy table writes, repeated mu(eta) times (lines 11-13)
+                for _ in range(mu_eta):
+                    writers = [
+                        k
+                        for k, m in enumerate(msgs)
+                        if m.newer_than(table.slot(m.obj, bundle_id))
+                    ]
+                    if not writers:
+                        break  # T is unchanged, so every later repetition is too
+                    rng.shuffle(writers)  # last write wins, in arbitrary order
+                    for k in writers:
+                        m = msgs[k]
+                        table.store(m.obj, bundle_id, CellMessage.tag(m, cells[k]))
+                    atomic_writes += len(writers)
+                    if not repeated:
+                        # one survivor per object: each writer's slot now
+                        # holds its own message, so the next repetition
+                        # finds no writers
+                        break
 
     # Lockstep accounting over the whole launch: every thread walks the
     # longest bucket's rounds (shorter buckets idle but stay in step).
-    rounds = max((len(b) for b in buckets), default=0)
+    rounds = max((len(messages) for _, messages in buckets), default=0)
     if rounds:
         # register work per round: (eta + 1) x (cache lookup + compare)
         ctx.charge(rounds * 2 * (eta + 1))
@@ -124,76 +181,50 @@ def x_shuffle_kernel(
     return processed
 
 
-def shuffle_round(
-    lanes: list[CellMessage | None], eta: int
-) -> list[CellMessage | None]:
-    """One cache-and-shuffle round over a bundle's lanes (Algorithm 3
-    lines 5-10 plus the final post-shuffle check, see module docstring).
-
-    Returns the surviving per-lane messages; at most ``mu(eta)`` distinct
-    messages of any single object remain, and the newest message of every
-    object is always among the survivors.
-    """
-    bundle_size = 1 << eta
-    lanes = list(lanes)
-    caches: list[dict[int, CellMessage]] = [dict() for _ in range(bundle_size)]
-
-    def check(lane: int) -> None:
-        m = lanes[lane]
-        if m is None:
-            return
-        cached = caches[lane].get(m.obj)
-        if cached is None or cached.sort_key < m.sort_key:
-            caches[lane][m.obj] = m
-        else:
-            lanes[lane] = cached  # carry the newer message onward
-
-    for j in range(1, eta + 1):
-        for lane in range(bundle_size):
-            check(lane)
-        lanes = warp_mod.shuffle_xor(lanes, 1 << (eta - j))
-    for lane in range(bundle_size):
-        check(lane)  # final check: meetings at the eta-th shuffle count
-    return lanes
-
-
-def _clean_bundle(
-    bundle: list[list[CellMessage]],
+def _shuffle_repeated(
+    msgs: list[Message],
+    cells: tuple[int, ...],
+    positions: tuple[int, ...],
     eta: int,
-    mu_eta: int,
-    table: IntermediateTable,
-    bundle_id: int,
-    rng: random.Random,
-) -> tuple[int, int]:
-    """Run Algorithm 3 on one bundle; returns (messages, atomic writes)."""
-    rounds = max((len(b) for b in bundle), default=0)
-    processed = 0
-    atomic_writes = 0
-    for i in range(rounds - 1, -1, -1):
-        # every lane reads one message from its bucket (line 4)
-        read: list[CellMessage | None] = [
-            bucket[i] if i < len(bucket) else None for bucket in bundle
-        ]
-        processed += sum(1 for m in read if m is not None)
-        lanes = shuffle_round(read, eta)
-        # racy table writes, repeated mu(eta) times (lines 11-13)
-        for _ in range(mu_eta):
-            snapshot = {
-                lane: table.slot(m.obj, bundle_id)
-                for lane, m in enumerate(lanes)
-                if m is not None
-            }
-            writers = [
-                lane
-                for lane, m in enumerate(lanes)
-                if m is not None
-                and (snapshot[lane] is None or snapshot[lane].sort_key < m.sort_key)
-            ]
-            rng.shuffle(writers)  # last write wins, in arbitrary order
-            for lane in writers:
-                table.store(lanes[lane].obj, bundle_id, lanes[lane])
-            atomic_writes += len(writers)
-    return processed, atomic_writes
+) -> tuple[list[Message], list[int]]:
+    """The cache-and-shuffle round (Algorithm 3 lines 5-10 plus the final
+    check) for a round in which some object was read more than once.
+
+    ``msgs[k]`` is read with cell ``cells[k]`` by the lane whose value
+    survives in lane ``positions[k]`` (``lane ^ (2^eta - 1)``); returns
+    the survivors in the same order.  Naming lanes by ``lane ^ c`` for a
+    constant ``c`` relabels the caches one-to-one and commutes with every
+    shuffle, so the simulation may start from the survivor lanes.  Each
+    repeated object is simulated alone: its tokens move by ``pos ^= mask``
+    and meet only its own entry of each lane's cache.  A token is the
+    index of a read, so a message replaced in flight keeps its cell.
+    """
+    by_obj: dict[int, list[int]] = {}
+    for k, m in enumerate(msgs):
+        by_obj.setdefault(m.obj, []).append(k)
+    out_msgs, out_cells = msgs[:], list(cells)
+    for ks in by_obj.values():
+        if len(ks) < 2:
+            continue
+        keys = {k: msgs[k].sort_key for k in ks}
+        tokens = list(ks)
+        cache: dict[int, int] = {}  # lane -> cached token
+        moved = 0
+        for step in range(eta + 1):
+            for t, k in enumerate(ks):
+                pos = positions[k] ^ moved
+                token = tokens[t]
+                cached = cache.get(pos)
+                if cached is None or keys[cached] < keys[token]:
+                    cache[pos] = token
+                else:
+                    tokens[t] = cached  # carry the newer message onward
+            if step < eta:
+                moved ^= 1 << (eta - 1 - step)
+        for k, token in zip(ks, tokens):
+            out_msgs[k] = msgs[token]
+            out_cells[k] = cells[token]
+    return out_msgs, out_cells
 
 
 def collect_kernel(

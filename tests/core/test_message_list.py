@@ -121,6 +121,30 @@ def test_bucket_t_is_max_not_last():
     assert len(live) == 1
 
 
+def test_bucket_t_tracks_out_of_order_appends():
+    """The cached ``Bucket.t`` keeps max semantics under any append
+    order: it rises with a newer message and ignores older ones."""
+    b = Bucket(capacity=5)
+    assert b.t == float("-inf")
+    for t, want in ((4.0, 4.0), (2.0, 4.0), (9.0, 9.0), (9.0, 9.0), (-1.0, 9.0)):
+        b.append(_msg(0, t))
+        assert b.t == want == max(m.t for m in b.messages)
+
+
+def test_bucket_t_of_snapshot_constructed_buckets():
+    """Buckets built with their messages (as ``prepend_snapshot`` does)
+    start from the max of those messages, then keep tracking appends."""
+    b = Bucket(3, [_msg(0, 7.0), _msg(1, 3.0)])
+    assert b.t == 7.0
+    b.append(_msg(2, 8.0))
+    assert b.t == 8.0
+    lst = MessageList(capacity=2)
+    lst.prepend_snapshot([_msg(0, 1.0), _msg(1, 6.0), _msg(2, 2.0)])
+    assert [b.t for b in lst.buckets()] == [6.0, 2.0]
+    lst.append(_msg(3, 11.0))  # lands in the snapshot's open tail bucket
+    assert [b.t for b in lst.buckets()] == [6.0, 11.0]
+
+
 def test_nested_lock_rejected_and_first_lock_intact():
     """Regression: a second ``lock_for_cleaning`` silently advanced
     ``p_l`` past post-lock arrivals, and ``release_cleaned`` then
