@@ -82,12 +82,11 @@ class GGridIndex:
         self._processor = KnnProcessor(
             graph,
             self.grid,
-            self.lists,
             self.object_table,
             self.cleaner,
             self.gpu,
             self.config,
-            list_factory=self._list_of,
+            self._list_of,
         )
         self.messages_ingested = 0
         self.update_touches = 0  # index entries touched per update (lazy: few)
@@ -213,19 +212,23 @@ class GGridIndex:
         """The k nearest objects to ``location`` at time ``t_now``
         (defaults to the newest ingested timestamp).
 
-        When the device faults mid-query the resilience ladder takes
-        over (see :mod:`repro.resilience`): the GPU phase is
-        retried with exponential backoff charged to modelled time, then
-        the query degrades to the host-executed SDist path and, as a
-        last resort, to an exact Dijkstra sweep.  Every rung returns the
-        same exact answer; :attr:`KnnAnswer.degraded_rung`,
-        :attr:`KnnAnswer.retries` and :attr:`KnnAnswer.backoff_s` record
-        what it cost.  Non-device errors propagate unchanged.
+        The query runs as an epoch of one through the same processor
+        path as :meth:`knn_batch`.  When the device faults mid-query the
+        resilience ladder takes over (see :mod:`repro.resilience`): the
+        GPU phase is retried with exponential backoff charged to
+        modelled time, then the query degrades to the host-executed
+        SDist path and, as a last resort, to an exact Dijkstra sweep.
+        Every rung returns the same exact answer;
+        :attr:`KnnAnswer.degraded_rung`, :attr:`KnnAnswer.retries` and
+        :attr:`KnnAnswer.backoff_s` record what it cost.  Non-device
+        errors propagate unchanged.
         """
         now = self.latest_time if t_now is None else t_now
         return self._run_resilient(
             now,
-            lambda use_gpu: self._processor.query(location, k, now, use_gpu=use_gpu),
+            lambda use_gpu: self._processor.query_batch(
+                [(location, k)], now, use_gpu=use_gpu
+            )[0],
             lambda: self._processor.exact_query(location, k),
         )
 

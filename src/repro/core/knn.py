@@ -1,6 +1,7 @@
 """kNN query processing (Algorithm 4): the CPU–GPU collaboration.
 
-A query runs in three phases:
+Queries run in epochs through :meth:`KnnProcessor.query_batch`; a single
+query is an epoch of one.  Each query runs in three phases:
 
 1. **Candidate cells** — starting from the query's cell and its grid
    neighbours, rings of cells are cleaned (lazily, on the GPU) until at
@@ -117,7 +118,7 @@ class BatchExecStats:
     Attributes:
         queries: queries executed in the batch.
         rounds: shared ring-expansion rounds (each is one cleaning pass
-            over the union frontier).
+            over the in-flight queries' frontier cells).
         cells_cleaned: distinct cells cleaned once for the whole epoch.
         cell_requests: sum over queries of the candidate cells each
             needed — what sequential execution would have cleaned.
@@ -151,66 +152,167 @@ class KnnProcessor:
         self,
         graph: RoadNetwork,
         grid: GraphGrid,
-        lists: dict[int, MessageList],
         object_table: ObjectTable,
         cleaner: MessageCleaner,
         gpu: SimGpu,
         config: GGridConfig,
-        list_factory: Callable[[int], MessageList] | None = None,
+        list_factory: Callable[[int], MessageList],
     ) -> None:
         self.graph = graph
         self.grid = grid
-        self.lists = lists
         self.object_table = object_table
         self.cleaner = cleaner
         self.gpu = gpu
         self.config = config
-        # the owning index shares its list factory so capacity caps
-        # (chaos backpressure) apply no matter which side creates a list
-        self.list_factory = list_factory
+        # the owning index's list factory, so its capacity caps (chaos
+        # backpressure) apply to every list a query touches
+        self._list_of = list_factory
         # shared refinement arrays (built lazily on the first refined query)
         self._refine_scratch: RefineScratch | None = None
 
     # ------------------------------------------------------------------
-    # public entry point
+    # public entry points
     # ------------------------------------------------------------------
-    def query(
+    def query_batch(
         self,
-        location: NetworkLocation,
-        k: int,
+        queries: list[tuple[NetworkLocation, int]],
         t_now: float,
         use_gpu: bool = True,
-    ) -> KnnAnswer:
-        """Answer a kNN query issued at ``location`` at time ``t_now``.
+        exec_stats: BatchExecStats | None = None,
+    ) -> list[KnnAnswer]:
+        """Answer an epoch of concurrent queries issued at ``t_now``.
+
+        Every kNN query runs here; a single query is an epoch of one.
+        Sharing the epoch's work is the mechanism behind the paper's
+        *G-Grid* vs *G-Grid (L)* gap (Fig. 5), extended across the whole
+        pipeline:
+
+        - **phase 1** — in every expansion round the frontier cells of
+          all in-flight queries are cleaned in one GPU pipeline, in the
+          order the queries list them and each cell once, so
+          overlapping regions are shipped and deduplicated once instead
+          of once per query;
+        - **phase 2** — the surviving queries' SDist / First-k /
+          Unresolved work is fused into one launch per kernel (each job
+          still charged at its own thread count, so modelled work is
+          what per-query launches would charge) and the candidate sets
+          travel back in one shared device-to-host transfer;
+        - **phase 3** — CPU refinement fans back out per query.
 
         ``use_gpu=False`` is the degraded rung: cleaning deduplicates on
         the host and phase 2 executes the vectorised SDist/First-k/
         Unresolved kernels as plain CPU code, never touching the device.
-        Answers are identical either way.
+
+        Returns one :class:`KnnAnswer` per query; each equals the answer
+        the query gets in an epoch of its own.  When ``exec_stats`` is
+        given it is reset and filled with the epoch's work-sharing
+        accounting.
 
         Raises:
             QueryError: for ``k <= 0`` or a location off the network.
         """
-        if k <= 0:
-            raise QueryError(f"k must be positive, got {k}")
-        location.validate(self.graph)
-        answer = KnnAnswer()
+        for location, k in queries:
+            if k <= 0:
+                raise QueryError(f"k must be positive, got {k}")
+            location.validate(self.graph)
+        if exec_stats is not None:
+            exec_stats.reset()
+            exec_stats.queries = len(queries)
+        if not queries:
+            return []
+        answers = [KnnAnswer() for _ in queries]
 
-        # -- phase 1: select candidate cells, cleaning lazily (lines 1-4)
+        # -- phase 1: expand every query's ring against the shared
+        # cleaned-cell cache, one cleaning pipeline per round (lines 1-4)
         with span("select_candidates") as sp:
             t0 = time.perf_counter()
-            gpu_before = self.gpu.stats.gpu_time_s
-            cells, occupants = self._select_candidates(
-                location, k, t_now, answer, use_gpu
-            )
-            answer.gpu_phase_s["clean_cells"] = self.gpu.stats.gpu_time_s - gpu_before
-            answer.cpu_seconds["select"] = time.perf_counter() - t0
-            answer.cells_cleaned = len(cells)
-            answer.candidates = len(occupants)
-            sp.set_attr("cells", len(cells))
-            sp.set_attr("candidates", len(occupants))
+            clean_before = self.gpu.stats.gpu_time_s
+            cleaned: dict[int, dict[int, CleanedLocation]] = {}
+            frontiers: list[set[int]] = []
+            for location, _ in queries:
+                c_q = self.grid.cell_of_edge(location.edge_id)
+                frontiers.append({c_q} | set(self.grid.neighbors(c_q)))
+            cells: list[set[int]] = [set() for _ in queries]
+            found = [0] * len(queries)  # live objects in each query's cells
+            in_flight = list(range(len(queries)))
+            rounds = 0
+            while in_flight:
+                # a dict, not a set union: the cleaner sees the cells in
+                # the order the queries list them, which fixes X-shuffle's
+                # modelled atomics
+                todo = {
+                    c: self._list_of(c)
+                    for i in in_flight
+                    for c in frontiers[i]
+                    if c not in cleaned
+                }
+                if todo:
+                    result = self.cleaner.clean(
+                        todo, t_now, self.object_table, use_gpu=use_gpu
+                    )
+                    for cell in todo:
+                        cleaned[cell] = result.occupants.get(cell, {})
+                rounds += 1
+                still = []
+                for i in in_flight:
+                    # a frontier never overlaps the cells it grows
+                    found[i] += sum(len(cleaned[c]) for c in frontiers[i])
+                    cells[i] |= frontiers[i]
+                    if found[i] >= self.config.rho * queries[i][1]:
+                        continue
+                    frontiers[i] = self.grid.neighbors_of_set(cells[i])
+                    if frontiers[i]:  # else the whole network is cleaned
+                        still.append(i)
+                in_flight = still
+            occupants = [
+                {obj: (cell, loc) for cell in q_cells for obj, loc in cleaned[cell].items()}
+                for q_cells in cells
+            ]
+            clean_share = (self.gpu.stats.gpu_time_s - clean_before) / len(queries)
+            select_share = (time.perf_counter() - t0) / len(queries)
+            sp.set_attr("cells", len(cleaned))
+            sp.set_attr("candidates", sum(len(occ) for occ in occupants))
 
-        return self._finish_query(location, k, cells, occupants, answer, use_gpu)
+        if exec_stats is not None:
+            exec_stats.rounds = rounds
+            exec_stats.cells_cleaned = len(cleaned)
+            exec_stats.cell_requests = sum(len(c) for c in cells)
+
+        # -- phase 2: degenerate queries drop to the fallback, the rest
+        # become jobs of the fused kernel launches (lines 5-9)
+        jobs: list[
+            tuple[int, NetworkLocation, int, set[int], dict[int, tuple[int, CleanedLocation]]]
+        ] = []
+        for i, (location, k) in enumerate(queries):
+            answer = answers[i]
+            answer.cells_cleaned = len(cells[i])
+            answer.candidates = len(occupants[i])
+            answer.gpu_phase_s["clean_cells"] = clean_share
+            answer.cpu_seconds["select"] = select_share
+            if len(occupants[i]) < k:
+                answers[i] = self._fallback(location, k, answer)
+            else:
+                jobs.append((i, location, k, cells[i], occupants[i]))
+
+        if jobs:
+            if use_gpu:
+                phase2 = self._gpu_candidates_batch(jobs, answers)
+            else:
+                phase2 = [
+                    self._host_candidates(location, k, q_cells, occ, answers[i])
+                    for i, location, k, q_cells, occ in jobs
+                ]
+            # -- phase 3: CPU refinement fans back out per query
+            for (i, location, k, _, _), (candidates, unresolved, l_bound) in zip(
+                jobs, phase2
+            ):
+                answers[i] = self._refine_answer(
+                    location, k, candidates, unresolved, l_bound, answers[i]
+                )
+
+        if exec_stats is not None:
+            exec_stats.fallbacks = sum(1 for a in answers if a.used_fallback)
+        return answers
 
     def exact_query(self, location: NetworkLocation, k: int) -> KnnAnswer:
         """The last resilience rung: one exact Dijkstra sweep from the
@@ -225,30 +327,9 @@ class KnnProcessor:
         location.validate(self.graph)
         return self._fallback(location, k, KnnAnswer())
 
-    def _finish_query(
-        self,
-        location: NetworkLocation,
-        k: int,
-        cells: set[int],
-        occupants: dict[int, tuple[int, CleanedLocation]],
-        answer: KnnAnswer,
-        use_gpu: bool = True,
-    ) -> KnnAnswer:
-        """Phases 2-3 (shared by single and batched queries): GPU
-        candidate set (lines 5-9), then CPU refinement (Algorithm 6)."""
-        if len(occupants) < k:
-            return self._fallback(location, k, answer)
-
-        if use_gpu:
-            candidates, unresolved, l_bound = self._gpu_candidates(
-                location, k, cells, occupants, answer
-            )
-        else:
-            candidates, unresolved, l_bound = self._host_candidates(
-                location, k, cells, occupants, answer
-            )
-        return self._refine_answer(location, k, candidates, unresolved, l_bound, answer)
-
+    # ------------------------------------------------------------------
+    # phase 3
+    # ------------------------------------------------------------------
     def _refine_answer(
         self,
         location: NetworkLocation,
@@ -285,193 +366,6 @@ class KnnProcessor:
         if len(answer.entries) < k:
             return self._fallback(location, k, answer)
         return answer
-
-    # ------------------------------------------------------------------
-    # batched queries
-    # ------------------------------------------------------------------
-    def query_batch(
-        self,
-        queries: list[tuple[NetworkLocation, int]],
-        t_now: float,
-        use_gpu: bool = True,
-        exec_stats: BatchExecStats | None = None,
-    ) -> list[KnnAnswer]:
-        """Answer an epoch batch of concurrent queries, sharing the GPU.
-
-        This is the mechanism behind the paper's *G-Grid* vs *G-Grid (L)*
-        gap (Fig. 5), extended across the whole pipeline:
-
-        - **phase 1** — in every expansion round the candidate-cell
-          frontiers of all in-flight queries are unioned and cleaned in
-          one GPU pipeline, so overlapping regions are shipped and
-          deduplicated once instead of once per query;
-        - **phase 2** — the surviving queries' SDist / First-k /
-          Unresolved work is fused into one batched launch per kernel
-          (each job still charged at its own thread count, so modelled
-          work is identical) and the candidate sets travel back in one
-          shared device-to-host transfer;
-        - **phase 3** — CPU refinement fans back out per query.
-
-        Returns one :class:`KnnAnswer` per query, identical to what
-        :meth:`query` would return for each individually.  When
-        ``exec_stats`` is given it is reset and filled with the batch's
-        work-sharing accounting.
-        """
-        for location, k in queries:
-            if k <= 0:
-                raise QueryError(f"k must be positive, got {k}")
-            location.validate(self.graph)
-        if exec_stats is not None:
-            exec_stats.reset()
-            exec_stats.queries = len(queries)
-        if not queries:
-            return []
-
-        cleaned: dict[int, dict[int, CleanedLocation]] = {}
-        rounds = 0
-
-        def clean_shared(frontier: set[int]) -> None:
-            todo = frontier - cleaned.keys()
-            if not todo:
-                return
-            result = self.cleaner.clean(
-                {c: self._list_of(c) for c in todo},
-                t_now,
-                self.object_table,
-                use_gpu=use_gpu,
-            )
-            for cell in todo:
-                cleaned[cell] = result.occupants.get(cell, {})
-
-        # phase 1, batched: expand every query's ring against the shared
-        # cleaned-cell cache, one GPU pipeline per round
-        t0 = time.perf_counter()
-        clean_before = self.gpu.stats.gpu_time_s
-        states = []
-        for location, k in queries:
-            c_q = self.grid.cell_of_edge(location.edge_id)
-            states.append(
-                {
-                    "frontier": {c_q} | set(self.grid.neighbors(c_q)),
-                    "cells": set(),
-                    "done": False,
-                }
-            )
-        while not all(s["done"] for s in states):
-            union_frontier: set[int] = set()
-            for state in states:
-                if not state["done"]:
-                    union_frontier |= state["frontier"]
-            clean_shared(union_frontier)
-            rounds += 1
-            for (location, k), state in zip(queries, states):
-                if state["done"]:
-                    continue
-                state["cells"] |= state["frontier"]
-                found = sum(len(cleaned[c]) for c in state["cells"])
-                if found >= self.config.rho * k:
-                    state["done"] = True
-                    continue
-                state["frontier"] = self.grid.neighbors_of_set(state["cells"])
-                if not state["frontier"]:
-                    state["done"] = True
-        clean_share = (self.gpu.stats.gpu_time_s - clean_before) / len(queries)
-        select_share = (time.perf_counter() - t0) / len(queries)
-
-        if exec_stats is not None:
-            exec_stats.rounds = rounds
-            exec_stats.cells_cleaned = len(cleaned)
-            exec_stats.cell_requests = sum(len(s["cells"]) for s in states)
-
-        # phase 2, fused: degenerate queries drop to the fallback, the
-        # rest become jobs of the per-batch kernel launches
-        answers: list[KnnAnswer] = [KnnAnswer() for _ in queries]
-        jobs: list[
-            tuple[int, NetworkLocation, int, set[int], dict[int, tuple[int, CleanedLocation]]]
-        ] = []
-        for i, ((location, k), state) in enumerate(zip(queries, states)):
-            answer = answers[i]
-            cells = state["cells"]
-            occupants = {
-                obj: (cell, loc)
-                for cell in cells
-                for obj, loc in cleaned[cell].items()
-            }
-            answer.cells_cleaned = len(cells)
-            answer.candidates = len(occupants)
-            answer.gpu_phase_s["clean_cells"] = clean_share
-            answer.cpu_seconds["select"] = select_share
-            if len(occupants) < k:
-                answers[i] = self._fallback(location, k, answer)
-            else:
-                jobs.append((i, location, k, cells, occupants))
-
-        if jobs:
-            if use_gpu and len(jobs) == 1:
-                # nothing to fuse: run the sequential kernels so a batch
-                # of one is counter-for-counter identical to query()
-                i, location, k, cells, occupants = jobs[0]
-                phase2 = [self._gpu_candidates(location, k, cells, occupants, answers[i])]
-            elif use_gpu:
-                phase2 = self._gpu_candidates_batch(jobs, answers)
-            else:
-                phase2 = [
-                    self._host_candidates(location, k, cells, occupants, answers[i])
-                    for i, location, k, cells, occupants in jobs
-                ]
-            # phase 3: CPU refinement fans back out per query
-            for (i, location, k, _, _), (candidates, unresolved, l_bound) in zip(
-                jobs, phase2
-            ):
-                answers[i] = self._refine_answer(
-                    location, k, candidates, unresolved, l_bound, answers[i]
-                )
-
-        if exec_stats is not None:
-            exec_stats.fallbacks = sum(1 for a in answers if a.used_fallback)
-        return answers
-
-    # ------------------------------------------------------------------
-    # phase 1
-    # ------------------------------------------------------------------
-    def _select_candidates(
-        self,
-        location: NetworkLocation,
-        k: int,
-        t_now: float,
-        answer: KnnAnswer,
-        use_gpu: bool = True,
-    ) -> tuple[set[int], dict[int, tuple[int, CleanedLocation]]]:
-        """Expand cell rings until ``rho * k`` candidate objects are found."""
-        target = self.config.rho * k
-        c_q = self.grid.cell_of_edge(location.edge_id)
-        frontier = {c_q} | set(self.grid.neighbors(c_q))
-        cells: set[int] = set()
-        occupants: dict[int, tuple[int, CleanedLocation]] = {}
-        while True:
-            result = self.cleaner.clean(
-                {c: self._list_of(c) for c in frontier},
-                t_now,
-                self.object_table,
-                use_gpu=use_gpu,
-            )
-            occupants.update(result.all_objects())
-            cells |= frontier
-            if len(occupants) >= target:
-                break
-            frontier = self.grid.neighbors_of_set(cells)
-            if not frontier:
-                break  # the whole network is cleaned
-        return cells, occupants
-
-    def _list_of(self, cell: int) -> MessageList:
-        if self.list_factory is not None:
-            return self.list_factory(cell)
-        mlist = self.lists.get(cell)
-        if mlist is None:
-            mlist = MessageList(self.config.delta_b, cell=cell)
-            self.lists[cell] = mlist
-        return mlist
 
     # ------------------------------------------------------------------
     # phase 2
@@ -512,75 +406,6 @@ class KnnProcessor:
             np.minimum(scores, offsets - location.offset, out=scores, where=ahead)
         return dict(zip(objs, scores.tolist()))
 
-    def _gpu_candidates(
-        self,
-        location: NetworkLocation,
-        k: int,
-        cells: set[int],
-        occupants: dict[int, tuple[int, CleanedLocation]],
-        answer: KnnAnswer,
-    ) -> tuple[dict[int, float], list[tuple[int, float]], float]:
-        """Run GPU_SDist / GPU_First_k / GPU_Unresolved (lines 5-9)."""
-        stats = self.gpu.stats
-        with span("sdist") as sp:
-            before = stats.kernel_time_s
-            slab = self.grid.pack_of_cells(cells)
-            seeds = entry_costs(self.graph, location)
-            dist = self.gpu.launch(
-                "GPU_SDist",
-                max(1, len(slab)),
-                get_sdist_kernel(self.config.sdist_backend),
-                slab,
-                slab.vertex_list,
-                seeds,
-                self.config.delta_v,
-                self.config.sdist_early_exit,
-            )
-            answer.gpu_phase_s["sdist"] = stats.kernel_time_s - before
-            sp.set_attr("elements", len(slab))
-            sp.set_attr("sim_s", answer.gpu_phase_s["sdist"])
-
-        with span("first_k") as sp:
-            before = stats.kernel_time_s
-            object_distances = self._score_occupants(location, dist, occupants)
-            ranked = self.gpu.launch(
-                "GPU_First_k",
-                max(1, len(object_distances)),
-                first_k_kernel,
-                object_distances,
-                k,
-            )
-            l_bound = ranked[k - 1][1] if len(ranked) >= k else _INF
-            answer.gpu_phase_s["first_k"] = stats.kernel_time_s - before
-            sp.set_attr("candidates", len(object_distances))
-
-        with span("unresolved") as sp:
-            before = stats.kernel_time_s
-            boundary = self.grid.boundary_vertices(cells)
-            unresolved = self.gpu.launch(
-                "GPU_Unresolved",
-                max(1, len(boundary)),
-                unresolved_kernel,
-                boundary,
-                dist,
-                l_bound,
-            )
-            answer.gpu_phase_s["unresolved"] = stats.kernel_time_s - before
-            sp.set_attr("boundary", len(boundary))
-
-        # candidate + unresolved sets travel back to the CPU
-        with span("candidates_d2h"):
-            payload = len(ranked) * MESSAGE_BYTES + len(unresolved) * 8
-            try:
-                self.gpu.memory.store("knn.candidates", ranked, nbytes=payload)
-                self.gpu.from_device("knn.candidates")
-            finally:
-                # a faulting transfer must not leak the staging allocation
-                self.gpu.free("knn.candidates")
-
-        candidates = {obj: d for obj, d in ranked}
-        return candidates, unresolved, l_bound
-
     def _gpu_candidates_batch(
         self,
         jobs: list[
@@ -588,12 +413,13 @@ class KnnProcessor:
         ],
         answers: list[KnnAnswer],
     ) -> list[tuple[dict[int, float], list[tuple[int, float]], float]]:
-        """Phase 2 for an epoch batch: one fused launch per kernel.
+        """Phase 2 on the device: ``GPU_SDist``, ``GPU_First_k`` and
+        ``GPU_Unresolved``, each one launch carrying every job.
 
         Each job charges its work at its own thread count (via
-        :class:`~repro.simgpu.kernel.JobContext`), so the modelled kernel
-        time equals the sum of the per-query launches it replaces — the
-        batch saves launch overheads and transfer latencies, never
+        :class:`~repro.simgpu.kernel.JobContext`), so an epoch of one
+        costs exactly one per-query launch per kernel, and a larger
+        epoch saves launch overheads and transfer latencies, never
         modelled work.  Kernel time is attributed to each participating
         answer as an equal share; the candidate and unresolved sets of
         all jobs return to the host in one staging transfer.
@@ -602,7 +428,7 @@ class KnnProcessor:
         n_jobs = len(jobs)
         indices = [i for i, *_ in jobs]
 
-        with span("sdist_batch") as sp:
+        with span("sdist") as sp:
             before = stats.kernel_time_s
             sdist_jobs = []
             for _, location, _, cells, _ in jobs:
@@ -611,7 +437,7 @@ class KnnProcessor:
                     (slab, slab.vertex_list, entry_costs(self.graph, location))
                 )
             dists = self.gpu.launch_batched(
-                "GPU_SDist_Batch",
+                "GPU_SDist",
                 max(1, sum(len(elements) for elements, _, _ in sdist_jobs)),
                 n_jobs,
                 sdist_batch_kernel,
@@ -626,13 +452,13 @@ class KnnProcessor:
             sp.set_attr("jobs", n_jobs)
             sp.set_attr("elements", sum(len(e) for e, _, _ in sdist_jobs))
 
-        with span("first_k_batch") as sp:
+        with span("first_k") as sp:
             before = stats.kernel_time_s
             fk_jobs = []
             for (_, location, k, _, occupants), dist in zip(jobs, dists):
                 fk_jobs.append((self._score_occupants(location, dist, occupants), k))
             ranked_lists = self.gpu.launch_batched(
-                "GPU_First_k_Batch",
+                "GPU_First_k",
                 max(1, sum(len(od) for od, _ in fk_jobs)),
                 n_jobs,
                 first_k_batch_kernel,
@@ -644,7 +470,7 @@ class KnnProcessor:
             sp.set_attr("jobs", n_jobs)
             sp.set_attr("candidates", sum(len(od) for od, _ in fk_jobs))
 
-        with span("unresolved_batch") as sp:
+        with span("unresolved") as sp:
             before = stats.kernel_time_s
             bounds = []
             un_jobs = []
@@ -653,7 +479,7 @@ class KnnProcessor:
                 bounds.append(l_bound)
                 un_jobs.append((self.grid.boundary_vertices(cells), dist, l_bound))
             unresolved_lists = self.gpu.launch_batched(
-                "GPU_Unresolved_Batch",
+                "GPU_Unresolved",
                 max(1, sum(len(b) for b, _, _ in un_jobs)),
                 n_jobs,
                 unresolved_batch_kernel,
@@ -699,7 +525,7 @@ class KnnProcessor:
         Runs the *same* kernel functions — the vectorised SDist backend
         plus First-k and Unresolved — as plain host code through a
         :class:`~repro.simgpu.kernel.HostContext`.  Results are
-        bit-identical to :meth:`_gpu_candidates` (property-tested for
+        bit-identical to :meth:`_gpu_candidates_batch` (property-tested for
         the SDist backends); no launches, transfers or allocations touch
         the simulated device, so a faulting GPU cannot interfere.
         """

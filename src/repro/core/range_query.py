@@ -79,8 +79,7 @@ def range_query(
 
     while frontier:
         result = processor.cleaner.clean(
-            {c: processor.lists[c] if c in processor.lists else processor._list_of(c)
-             for c in frontier},
+            {c: processor._list_of(c) for c in frontier},
             t_now,
             processor.object_table,
         )

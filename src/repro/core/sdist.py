@@ -148,15 +148,17 @@ def unresolved_kernel(
 
 
 # ----------------------------------------------------------------------
-# fused batch kernels (the epoch-batched execution engine)
+# fused epoch kernels (every device kNN query runs through these)
 # ----------------------------------------------------------------------
-# Each ``*_batch_kernel`` runs one job per in-flight query inside a
-# single launch: the queries' thread blocks execute side by side, so a
-# batch of Q queries pays one launch overhead (and one D2H staging
-# round-trip, handled by the caller) instead of Q.  Every job charges its
-# work through a :class:`~repro.simgpu.kernel.JobContext` with that job's
-# own thread count, which makes the fused launch's simulated kernel time
-# exactly the sum of the per-query launches it replaces — batching saves
+# Each ``*_batch_kernel`` runs one job per in-flight query of an epoch
+# inside a single launch, which the caller names after the per-query
+# kernel (``GPU_SDist``, ``GPU_First_k``, ``GPU_Unresolved``).  The
+# queries' thread blocks execute side by side, so an epoch of Q queries
+# pays one launch overhead (and one D2H staging round-trip, handled by
+# the caller) instead of Q; a single query is an epoch of one.  Every job
+# charges its work through a :class:`~repro.simgpu.kernel.JobContext`
+# with that job's own thread count, so the fused launch's modelled work
+# is exactly that of the per-query launches it replaces — fusion saves
 # fixed overheads, never modelled work.  Results are job-ordered and
 # bit-identical to running each per-query kernel individually.
 
@@ -168,7 +170,7 @@ def sdist_batch_kernel(
     delta_v: int,
     early_exit: bool = True,
 ) -> list[dict[int, float]]:
-    """``GPU_SDist_Batch``: per-query restricted distances, one launch.
+    """``GPU_SDist`` for an epoch: per-query restricted distances, one launch.
 
     Args:
         ctx: the fused launch's context.
@@ -191,7 +193,7 @@ def first_k_batch_kernel(
     ctx: KernelContext,
     jobs: list[tuple[dict[int, float], int]],
 ) -> list[list[tuple[int, float]]]:
-    """``GPU_First_k_Batch``: per-query candidate ranking, one launch.
+    """``GPU_First_k`` for an epoch: per-query candidate ranking, one launch.
 
     ``jobs`` holds one ``(object_distances, k)`` pair per query; returns
     each query's ranked candidates in the canonical result order.
@@ -206,7 +208,7 @@ def unresolved_batch_kernel(
     ctx: KernelContext,
     jobs: list[tuple[list[int], Mapping[int, float], float]],
 ) -> list[list[tuple[int, float]]]:
-    """``GPU_Unresolved_Batch``: per-query boundary checks, one launch.
+    """``GPU_Unresolved`` for an epoch: per-query boundary checks, one launch.
 
     ``jobs`` holds one ``(boundary_vertices, dist, l_bound)`` triple per
     query; returns each query's unresolved ``(vertex, distance)`` pairs.

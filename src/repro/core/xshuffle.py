@@ -6,10 +6,10 @@ from its bucket, then the bundle performs ``eta`` butterfly shuffles with
 lane masks ``2^(eta-1) ... 2^0``.  Between shuffles each thread checks the
 message it received against a small per-thread cache ``Gamma``: an older
 message of a cached object is *replaced in flight* by the cached newer
-one, which is how duplicates die without any lock.  Theorem 1 guarantees
+one, which is how duplicates die without any lock.  Theorem 1 claims
 at most ``mu(eta)`` distinct messages of any object survive a round, so
-the final racy writes into the intermediate table ``T`` need only be
-repeated ``mu(eta)`` times to ensure the newest message lands.
+that the final racy writes into the intermediate table ``T`` need only
+be repeated ``mu(eta)`` times to ensure the newest message lands.
 
 The kernel reproduces the lane-by-lane execution exactly without
 simulating every lane, because of two facts about the algorithm:
@@ -39,8 +39,7 @@ simulation, which the tests keep as an oracle
 launches.  Buckets arrive as ``(cell, messages)`` pairs; a message is
 tagged with its cell only when it is stored into ``T``.
 
-Deviations from the paper's pseudocode (both required for Theorem 1 to
-hold, see ``tests/core/test_xshuffle.py``):
+Deviations from the paper's pseudocode (see ``tests/core/test_xshuffle.py``):
 
 * the cache ``Gamma`` is cleared at the start of each read round —
   Algorithm 3 allocates it once, but its size-``eta`` capacity is only
@@ -51,7 +50,14 @@ hold, see ``tests/core/test_xshuffle.py``):
   shuffle would never meet the cache, yet the coverage argument behind
   Theorem 1 (Lemma 1 with ``k = eta``) counts exactly those meetings.
   Without the final check, a 4-lane bundle can end with 2 distinct
-  survivors where ``mu`` says 1.
+  survivors where ``mu`` says 1;
+* the write race repeats until a repetition finds no writers, not a
+  fixed ``mu(eta)`` times — Theorem 1 does not bound partially occupied
+  bundles (one object read at lanes 3, 4, 7, 8, 9 and 13 of a 16-lane
+  bundle leaves three distinct survivors where ``mu(4) = 2``).  Every
+  repetition with writers strictly raises each slot it writes, so the
+  race ends with the newest survivor in ``T``; where the bound holds,
+  the extra check finds no writers and charges nothing.
 
 All bundles of a launch execute in lockstep on the device, so the kernel
 charges its work once over the full thread count (rounds x (read + eta
@@ -145,8 +151,9 @@ def x_shuffle_kernel(
                 repeated = n > 1 and len({m.obj for m in msgs}) < n
                 if repeated:
                     msgs, cells = _shuffle_repeated(msgs, cells, positions, eta)
-                # racy table writes, repeated mu(eta) times (lines 11-13)
-                for _ in range(mu_eta):
+                # racy table writes, repeated until none is left (lines 11-13;
+                # see the third deviation above)
+                while True:
                     writers = [
                         k
                         for k, m in enumerate(msgs)

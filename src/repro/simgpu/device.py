@@ -215,11 +215,12 @@ class SimGpu:
         """Run a fused batch kernel carrying ``jobs`` per-query jobs.
 
         Identical to :meth:`launch` (one launch overhead, one fault-hook
-        consultation) plus batch accounting: ``batched_launches`` and
-        ``batched_jobs`` record how many per-query launches the fusion
-        replaced.  The kernel itself is responsible for charging each
-        job's work at that job's thread count (see
-        :class:`~repro.simgpu.kernel.JobContext`).
+        consultation) plus batch accounting: when ``jobs > 1``,
+        ``batched_launches`` and ``batched_jobs`` record how many
+        per-query launches the fusion replaced.  A one-job launch fuses
+        nothing and costs exactly what :meth:`launch` costs.  The kernel
+        itself is responsible for charging each job's work at that job's
+        thread count (see :class:`~repro.simgpu.kernel.JobContext`).
 
         Raises:
             KernelError: non-positive thread or job count.
@@ -229,6 +230,7 @@ class SimGpu:
                 f"batched kernel {kernel_name!r} launched with {jobs} jobs"
             )
         result = self.launch(kernel_name, n_threads, fn, *args)
-        self.stats.batched_launches += 1
-        self.stats.batched_jobs += jobs
+        if jobs > 1:
+            self.stats.batched_launches += 1
+            self.stats.batched_jobs += jobs
         return result

@@ -95,7 +95,7 @@ class KernelContext:
 class JobContext:
     """A per-job view of a fused batch launch's context.
 
-    Batched kernels (``GPU_SDist_Batch`` & friends, see
+    The fused epoch kernels (``sdist_batch_kernel`` & friends, see
     :mod:`repro.core.sdist`) run several queries' jobs inside one launch.
     Each job wraps the launch context in a ``JobContext`` carrying that
     job's own thread count, so the fused launch charges exactly the lane

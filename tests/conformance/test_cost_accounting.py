@@ -4,12 +4,14 @@ The simulated GPU's deterministic counters let the engine's economics be
 asserted exactly: an overlapping epoch must do strictly fewer kernel
 launches, host<->device transfers and cell cleanings than sequential
 execution of the same queries — and a batch of one must cost *exactly*
-the same as a single query, counter for counter.
+the same as a single query, counter for counter (a single query is an
+epoch of one).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.config import GGridConfig
 from repro.core import BatchExecStats, GGridIndex
 from repro.core.messages import Message
 from repro.roadnet.generators import grid_road_network
+from repro.simgpu.trace import GpuTrace
 
 from tests.conftest import random_location
 
@@ -94,13 +97,51 @@ def test_batch_of_one_costs_exactly_the_same():
     assert stats.cells_deduped == 0
 
 
+def test_single_query_counters_are_pinned():
+    """A seeded stream of single queries between updates costs exactly
+    the recorded counters: the cleaning order of each ring and the
+    kernels launched per query are part of the modelled cost, so any
+    drift in either shows up here."""
+    index = _loaded_index()
+    rng = random.Random(21)
+    objects = []
+    for step in range(12):
+        t = 2.0 + step
+        for _ in range(10):
+            loc = random_location(_GRAPH, rng)
+            index.ingest(Message(rng.randrange(80), loc.edge_id, loc.offset, t))
+        loc = random_location(_GRAPH, rng)
+        objects.append(index.knn(loc, rng.choice((1, 4, 8))).objects())
+
+    assert objects[:3] == [[35], [38, 28, 64, 62], [5, 76, 3, 74, 67, 61, 15, 70]]
+    assert index.stats.as_dict() == {
+        "kernel_launches": 84,
+        "batched_launches": 0,
+        "batched_jobs": 0,
+        "lane_ops": 17054,
+        "shuffle_ops": 1677,
+        "sync_count": 67,
+        "atomic_ops": 248,
+        "bytes_h2d": 15628,
+        "bytes_d2h": 5232,
+        "transfers_h2d": 25,
+        "transfers_d2h": 36,
+        "kernel_time_s": 0.0004546900000000008,
+        "transfer_time_s": 0.0006117383333333335,
+        "pipelined_saved_s": 0.0,
+    }
+    assert index.cleaner.cells_cleaned_total == 131
+    assert index.cleaner.cleanings_total == 24
+
+
 def test_fused_launch_accounting():
     """One multi-query epoch: three fused launches carry all the jobs."""
     queries = _overlapping_queries()
     index = _loaded_index()
     before = index.stats.snapshot()
     passes_before = index.cleaner.cleanings_total
-    answers = index.knn_batch(queries)
+    with GpuTrace(index.gpu) as trace:
+        answers = index.knn_batch(queries)
     delta = index.stats.diff(before)
     cleaning_passes = index.cleaner.cleanings_total - passes_before
 
@@ -109,6 +150,8 @@ def test_fused_launch_accounting():
     # SDist + First-k + Unresolved, one fused launch each
     assert delta.batched_launches == 3
     assert delta.batched_jobs == 3 * jobs
+    launched = Counter(e.name for e in trace.events if e.category == "kernel")
+    assert launched["GPU_SDist"] == launched["GPU_First_k"] == launched["GPU_Unresolved"] == 1
     # beyond the cleaning pipeline's own readbacks, the candidate sets
     # of the whole epoch came back in one shared transfer
     assert delta.transfers_d2h == cleaning_passes + 1

@@ -159,8 +159,9 @@ def test_survivors_bounded_by_mu(seed, eta):
 )
 def test_survivors_bounded_by_mu_in_partial_bundle():
     """One object read at six of 16 lanes, the rest idle: three distinct
-    messages survive where mu(4) = 2, so two racy repetitions can leave
-    an older one in ``T`` (DESIGN.md section 7)."""
+    messages survive where mu(4) = 2, so two racy repetitions could leave
+    an older one in ``T`` (DESIGN.md section 7).  The race therefore
+    repeats until no writer is left; see the test below."""
     read = [None] * 16
     for lane, t in zip((3, 4, 7, 8, 9, 13), (53, 58, 64, 65, 66, 78)):
         read[lane] = _msg(0, float(t))
@@ -168,10 +169,24 @@ def test_survivors_bounded_by_mu_in_partial_bundle():
     assert len(survivors) <= mu(4)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_newest_lands_in_partial_bundle(seed):
+    """The bundle Theorem 1 does not bound, through a full launch: the
+    write race runs past mu(4) repetitions until the newest of the three
+    survivors is in ``T``, on the oracle and on the production kernel."""
+    buckets = [[] for _ in range(16)]
+    for lane, t in zip((3, 4, 7, 8, 9, 13), (53, 58, 64, 65, 66, 78)):
+        buckets[lane] = [_msg(0, float(t))]
+    for oracle in (True, False):
+        _, table, latest, _ = _run_kernel(buckets, 4, seed=seed, oracle=oracle)
+        assert table.slot(0, 0).t == 78.0
+        assert latest[0].t == 78.0
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**6))
 def test_racy_writes_converge(seed):
-    """Property: the mu-repeated last-write-wins race always ends with
+    """Property: the repeated last-write-wins race always ends with
     the newest message stored, for any write ordering."""
     rng = random.Random(seed)
     eta = 4
@@ -180,7 +195,7 @@ def test_racy_writes_converge(seed):
     rng.shuffle(times)
     bundle = [[_msg(0, float(t))] for t in times]
     table = IntermediateTable(1)
-    clean_bundle(bundle, eta, mu(eta), table, 0, rng)
+    clean_bundle(bundle, eta, table, 0, rng)
     assert table.slot(0, 0).t == float(bundle_size - 1)
 
 

@@ -5,7 +5,9 @@ it (plus the two deviations documented in :mod:`repro.core.xshuffle`):
 every round each of the ``2^eta`` lanes of a bundle reads one message,
 the bundle runs ``eta`` butterfly shuffles with a per-lane ``Gamma``
 cache check before each and a final check after the last, then repeats
-the racy last-write-wins table writes ``mu(eta)`` times.
+the racy last-write-wins table writes until a repetition finds no
+writers (``mu(eta)`` times would do if Theorem 1 held for every
+occupancy).
 
 The production kernel, :func:`repro.core.xshuffle.x_shuffle_kernel`,
 reaches the same table by simulating only the objects read twice in a
@@ -46,7 +48,7 @@ def oracle_x_shuffle_kernel(
         bundle = buckets[start : start + bundle_size]
         bundle = bundle + [[] for _ in range(bundle_size - len(bundle))]
         bundle_id = first_bundle + start // bundle_size
-        done, writes = clean_bundle(bundle, eta, mu_eta, table, bundle_id, rng)
+        done, writes = clean_bundle(bundle, eta, table, bundle_id, rng)
         processed += done
         atomic_writes += writes
 
@@ -96,7 +98,6 @@ def shuffle_round(
 def clean_bundle(
     bundle: list[list[CellMessage]],
     eta: int,
-    mu_eta: int,
     table: IntermediateTable,
     bundle_id: int,
     rng: random.Random,
@@ -112,8 +113,8 @@ def clean_bundle(
         ]
         processed += sum(1 for m in read if m is not None)
         lanes = shuffle_round(read, eta)
-        # racy table writes, repeated mu(eta) times (lines 11-13)
-        for _ in range(mu_eta):
+        # racy table writes, repeated until none is left (lines 11-13)
+        while True:
             snapshot = {
                 lane: table.slot(m.obj, bundle_id)
                 for lane, m in enumerate(lanes)
@@ -125,6 +126,8 @@ def clean_bundle(
                 if m is not None
                 and (snapshot[lane] is None or snapshot[lane].sort_key < m.sort_key)
             ]
+            if not writers:
+                break
             rng.shuffle(writers)  # last write wins, in arbitrary order
             for lane in writers:
                 table.store(lanes[lane].obj, bundle_id, lanes[lane])

@@ -47,6 +47,28 @@ def test_launch_runs_kernel_and_charges():
     assert gpu.stats.kernel_time_s > 0
 
 
+def test_one_job_batched_launch_costs_a_plain_launch():
+    def kernel(ctx, xs):
+        ctx.charge(3)
+        ctx.charge_mem(1)
+        ctx.charge_atomic(2)
+        return sum(xs)
+
+    plain, fused = SimGpu(), SimGpu()
+    assert plain.launch("k", 40, kernel, [1, 2]) == 3
+    assert fused.launch_batched("k", 40, 1, kernel, [1, 2]) == 3
+    # a batch of one fuses nothing: no batch accounting, the same charge
+    assert fused.stats.batched_launches == 0
+    assert fused.stats.batched_jobs == 0
+    assert fused.stats.as_dict() == plain.stats.as_dict()
+
+    fused.launch_batched("k", 40, 3, kernel, [1, 2])
+    assert fused.stats.batched_launches == 1
+    assert fused.stats.batched_jobs == 3
+    with pytest.raises(KernelError):
+        fused.launch_batched("k", 40, 0, kernel, [1, 2])
+
+
 def test_launch_rejects_zero_threads():
     gpu = SimGpu()
     with pytest.raises(KernelError):
