@@ -962,8 +962,7 @@ def scale_datapath(dataset: str = "NY") -> list[dict[str, Any]]:
 
     Loads the dataset at 1/8 of its paper size (NY -> ~33k vertices, an
     order of magnitude past the default bench scale), builds the index
-    with the geometric partitioner and the vectorised SDist backend, and
-    drives one full cycle — ingest, kNN round, fleet-update rounds,
+    with the geometric partitioner, and drives one full cycle — ingest, kNN round, fleet-update rounds,
     re-query — reporting one row per phase.  Every column except
     ``wall_s`` is modelled/deterministic for the fixed seeds, which is
     what lets the ``scale`` trajectory scenario gate them at float dust.
@@ -978,9 +977,7 @@ def scale_datapath(dataset: str = "NY") -> list[dict[str, Any]]:
     num_queries = 16
     update_rounds = 2
     graph = load_dataset(dataset, scale=1.0 / 8.0)
-    config = GGridConfig(
-        delta_c=64, partitioner="geometric", sdist_backend="vectorized"
-    )
+    config = GGridConfig(delta_c=64, partitioner="geometric")
     rows: list[dict[str, Any]] = []
 
     started = time.perf_counter()

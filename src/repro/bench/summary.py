@@ -35,7 +35,6 @@ SECTIONS: dict[str, str] = {
     "maintenance_policies": "Extension — maintenance policies",
     "workload_patterns": "Extension — workload skew robustness",
     "accuracy_vs_frequency": "Extension — accuracy vs update frequency",
-    "sdist_backends": "Extension — SDist backend comparison",
     "costmodel_validation": "Cost model — Section VI bound",
     "scale": "Scale — paper-order data plane (1/8-scale, array-native path)",
 }

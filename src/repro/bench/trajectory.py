@@ -286,7 +286,7 @@ def _run_scale(dataset: str) -> TrajectoryRow:
     Folds the per-phase rows of
     :func:`repro.bench.experiments.scale_datapath` — a 1/8-paper-scale
     build/ingest/query/update/requery sweep on the geometric partitioner
-    and vectorised backend — into one row.  Everything here is
+    — into one row.  Everything here is
     modelled/deterministic for the fixed seeds (modelled GPU seconds,
     cleaned-cell and settled-vertex counts, and the rounded sum of all
     returned kNN distances), so the whole row rides ``counters`` at

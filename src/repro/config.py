@@ -33,12 +33,10 @@ class GGridConfig:
             into modelled compiled-CPU time for reporting (the paper's
             implementation is C++; shapes are preserved, see DESIGN.md).
         pipelined_transfers: overlap H2D transfers with cleaning kernels.
-        sdist_early_exit: stop GPU_SDist rounds when no distance changed
-            (an optimisation ablated in the benchmarks; the paper's
-            Algorithm 5 always runs ``|V|`` rounds).
-        sdist_backend: ``"lockstep"`` (faithful per-element kernel) or
-            ``"vectorized"`` (numpy formulation, identical results,
-            faster host simulation).
+        sdist_early_exit: stop GPU_SDist after the first synchronous
+            round that changes no distance (an optimisation ablated in
+            the benchmarks; the paper's Algorithm 5 always runs ``|V|``
+            rounds).  GPU_SDist has one kernel, so no backend is chosen.
         partitioner: ``"multilevel"`` (the default: recursive balanced
             bisection via the multilevel partitioner, minimising crossing
             edges) or ``"geometric"`` (coordinate-median splits over
@@ -63,7 +61,6 @@ class GGridConfig:
     python_speedup: float = 50.0
     pipelined_transfers: bool = True
     sdist_early_exit: bool = True
-    sdist_backend: str = "lockstep"
     partitioner: str = "multilevel"
     max_buckets_per_cell: int | None = None
     seed: int = 0
@@ -87,10 +84,6 @@ class GGridConfig:
         if self.python_speedup <= 0:
             raise ConfigError(
                 f"python_speedup must be positive, got {self.python_speedup}"
-            )
-        if self.sdist_backend not in ("lockstep", "vectorized"):
-            raise ConfigError(
-                f"unknown sdist backend {self.sdist_backend!r}"
             )
         if self.partitioner not in ("multilevel", "geometric"):
             raise ConfigError(f"unknown partitioner {self.partitioner!r}")

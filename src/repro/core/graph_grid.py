@@ -28,47 +28,14 @@ from repro.roadnet.graph import RoadNetwork
 from repro.simgpu.memory import CELL_BYTES, EDGE_BYTES, TABLE_ENTRY_BYTES, VERTEX_BYTES
 
 
-@dataclass(frozen=True, slots=True)
-class GridEdgeRec:
-    """An edge stored in a vertex element: ``<id, v_s, w>``."""
-
-    edge_id: int
-    source: int
-    weight: float
-
-
-@dataclass(slots=True)
-class GridVertexElement:
-    """One vertex slot of a cell: ``<id, A_e, n>``.
-
-    ``real_id`` is the road-network vertex; ``virtual_rank`` is 0 for the
-    primary element and ``1, 2, ...`` for the virtual vertices created
-    when the in-degree exceeds ``delta_v`` (Section III-A).
-    """
-
-    real_id: int
-    virtual_rank: int
-    edges: list[GridEdgeRec] = field(default_factory=list)
-
-    @property
-    def n(self) -> int:
-        return len(self.edges)
-
-    @property
-    def is_virtual(self) -> bool:
-        return self.virtual_rank > 0
-
-
 @dataclass(slots=True)
 class GridCell:
-    """One grid cell: ``<A_v, n_v, n_e>`` at Z-position ``z``."""
+    """One grid cell at Z-position ``z``; its vertex elements and edge
+    records live in the grid's packed arrays."""
 
     z: int
-    elements: list[GridVertexElement] = field(default_factory=list)
     #: distinct real vertex ids in this cell (the partitioning output)
     real_vertices: list[int] = field(default_factory=list)
-    #: number of edges whose *source* vertex lies in this cell
-    n_source_edges: int = 0
 
     @property
     def n_v(self) -> int:
@@ -82,30 +49,24 @@ class CellSlab:
     packed arrays: the distinct vertices of the cells (in the exact order
     :meth:`GraphGrid.vertices_of_cells` returns them) plus the in-edge
     records whose *source also lies inside the cell set*, already
-    translated to local vertex indices.  The SDist backends consume this
-    directly instead of re-flattening ``GridVertexElement`` lists per
-    launch; the legacy lockstep kernel can still iterate a slab (it lazily
-    materialises the element list), so a slab is a drop-in for the
-    ``elements`` argument of either backend.
+    translated to local vertex indices, and the cells' vertex-element
+    count (the ``GPU_SDist`` thread count).  The SDist kernel consumes
+    the arrays directly.
     """
 
     __slots__ = (
         "_grid",
-        "zs",
         "vertex_ids",
         "src_local",
         "tgt_local",
         "weights",
         "n_elements",
         "_base_of_cell",
-        "_vertex_list",
-        "_elements",
     )
 
     def __init__(
         self,
         grid: "GraphGrid",
-        zs: list[int],
         vertex_ids: np.ndarray,
         src_local: np.ndarray,
         tgt_local: np.ndarray,
@@ -114,42 +75,20 @@ class CellSlab:
         base_of_cell: dict[int, int],
     ) -> None:
         self._grid = grid
-        self.zs = zs
         self.vertex_ids = vertex_ids
         self.src_local = src_local
         self.tgt_local = tgt_local
         self.weights = weights
         self.n_elements = n_elements
         self._base_of_cell = base_of_cell
-        self._vertex_list: list[int] | None = None
-        self._elements: list[GridVertexElement] | None = None
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_ids)
 
     def __len__(self) -> int:
-        """Element count — a slab passed as ``elements`` keeps the GPU
-        thread-count accounting (one thread per vertex element) exact."""
+        """Vertex-element count: ``GPU_SDist`` runs one thread each."""
         return self.n_elements
-
-    def __iter__(self):
-        """Iterate the per-element view (lockstep-backend compatibility)."""
-        return iter(self.elements)
-
-    @property
-    def elements(self) -> list[GridVertexElement]:
-        """The per-element object view, materialised on first use."""
-        if self._elements is None:
-            self._elements = self._grid.elements_of_cells(set(self.zs))
-        return self._elements
-
-    @property
-    def vertex_list(self) -> list[int]:
-        """``vertex_ids`` as plain Python ints (the kernels' ``V`` list)."""
-        if self._vertex_list is None:
-            self._vertex_list = self.vertex_ids.tolist()
-        return self._vertex_list
 
     def local_of(self, vertex: int) -> int | None:
         """Local index of a global vertex id; None when outside the slab."""
@@ -201,8 +140,9 @@ class GraphGrid:
     def _populate(self) -> None:
         delta_v = self.config.delta_v
         # packed struct-of-arrays form (DESIGN.md §16), built once here:
-        # per-cell CSR of vertices / elements / in-edge records, all in
-        # the same order the per-element object view uses
+        # per-cell CSR of vertices and in-edge records, plus each cell's
+        # vertex-element count — a vertex holds at most delta_v in-edges
+        # per element and spills the rest into virtual elements
         vert_counts = [0] * len(self.cells)
         elem_counts = [0] * len(self.cells)
         rec_counts = [0] * len(self.cells)
@@ -220,21 +160,13 @@ class GraphGrid:
                 vert_ids.append(vid)
                 vert_pos[vid] = pos
                 in_edges = self.graph.in_edges(vid)
-                records = [GridEdgeRec(e.id, e.source, e.weight) for e in in_edges]
-                for rec in records:
-                    rec_src.append(rec.source)
+                for e in in_edges:
+                    rec_src.append(e.source)
                     rec_tgt_pos.append(pos)
-                    rec_weight.append(rec.weight)
-                    rec_edge_id.append(rec.edge_id)
-                rec_counts[z] += len(records)
-                if not records:
-                    cell.elements.append(GridVertexElement(vid, 0))
-                for rank, start in enumerate(range(0, len(records), delta_v)):
-                    cell.elements.append(
-                        GridVertexElement(vid, rank, records[start : start + delta_v])
-                    )
-                cell.n_source_edges += self.graph.out_degree(vid)
-            elem_counts[z] = len(cell.elements)
+                    rec_weight.append(e.weight)
+                    rec_edge_id.append(e.id)
+                rec_counts[z] += len(in_edges)
+                elem_counts[z] += max(1, -(-len(in_edges) // delta_v))
         # inverted index: edge -> (source vertex, cell of the source vertex)
         for e in self.graph.edges():
             self._edge_source[e.id] = e.source
@@ -283,9 +215,8 @@ class GraphGrid:
         """Slice the packed arrays down to a candidate cell set.
 
         The slab's vertex order matches :meth:`vertices_of_cells`
-        exactly, and the kept edge records are the same records (in the
-        same order) the per-element kernels walk — which is why the SDist
-        backends produce bit-identical distances from either form.
+        exactly; the kept edge records follow the (cell, vertex, in-edge)
+        order of the packed arrays.
         """
         zs = sorted(cells)
         base = self._base_scratch
@@ -324,7 +255,6 @@ class GraphGrid:
         base[zs] = -1  # reset the scratch for the next pack
         return CellSlab(
             self,
-            zs,
             vertex_ids,
             (src_base + src_pos)[keep],
             tgt_local[keep],
@@ -377,14 +307,6 @@ class GraphGrid:
             return []
         return np.concatenate(parts).tolist()
 
-    def elements_of_cells(self, cells: set[int]) -> list[GridVertexElement]:
-        """Vertex elements (incl. virtual) across ``cells``; one GPU thread
-        is assigned per element in ``GPU_SDist``."""
-        result: list[GridVertexElement] = []
-        for z in sorted(cells):
-            result.extend(self.cells[z].elements)
-        return result
-
     def boundary_vertices(self, cells: set[int]) -> list[int]:
         """Vertices "on the edge of" ``cells`` (Definition 3): vertices with
         an out-edge whose destination lies outside the cell set.
@@ -423,19 +345,11 @@ class GraphGrid:
         """Modelled byte size of the grid using the paper's C layout:
         128 bytes per cell (padded), 32 per overflow vertex element,
         plus the inverted index at one hash entry per edge."""
-        total = 0
-        for cell in self.cells:
-            total += CELL_BYTES
-            overflow = max(0, len(cell.elements) - self.config.delta_c)
-            total += overflow * VERTEX_BYTES
-        total += self.graph.num_edges * (TABLE_ENTRY_BYTES + EDGE_BYTES)
-        return total
+        return self.device_nbytes() + self.graph.num_edges * (
+            TABLE_ENTRY_BYTES + EDGE_BYTES
+        )
 
     def device_nbytes(self) -> int:
         """Size of the GPU-resident copy (no inverted index on device)."""
-        total = 0
-        for cell in self.cells:
-            total += CELL_BYTES
-            overflow = max(0, len(cell.elements) - self.config.delta_c)
-            total += overflow * VERTEX_BYTES
-        return total
+        overflow = np.maximum(self._cell_elem_counts - self.config.delta_c, 0)
+        return len(self.cells) * CELL_BYTES + int(overflow.sum()) * VERTEX_BYTES

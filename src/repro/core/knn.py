@@ -40,6 +40,7 @@ from repro.core.sdist import (
     first_k_kernel,
     get_sdist_kernel,
     sdist_batch_kernel,
+    sdist_kernel,
     unresolved_batch_kernel,
     unresolved_kernel,
 )
@@ -200,8 +201,8 @@ class KnnProcessor:
         - **phase 3** — CPU refinement fans back out per query.
 
         ``use_gpu=False`` is the degraded rung: cleaning deduplicates on
-        the host and phase 2 executes the vectorised SDist/First-k/
-        Unresolved kernels as plain CPU code, never touching the device.
+        the host and phase 2 executes the same SDist/First-k/Unresolved
+        kernels as plain CPU code, never touching the device.
 
         Returns one :class:`KnnAnswer` per query; each equals the answer
         the query gets in an epoch of its own.  When ``exec_stats`` is
@@ -430,19 +431,18 @@ class KnnProcessor:
 
         with span("sdist") as sp:
             before = stats.kernel_time_s
-            sdist_jobs = []
-            for _, location, _, cells, _ in jobs:
-                slab = self.grid.pack_of_cells(cells)
-                sdist_jobs.append(
-                    (slab, slab.vertex_list, entry_costs(self.graph, location))
-                )
+            sdist_jobs = [
+                (self.grid.pack_of_cells(cells), entry_costs(self.graph, location))
+                for _, location, _, cells, _ in jobs
+            ]
+            n_elements = sum(len(slab) for slab, _ in sdist_jobs)
             dists = self.gpu.launch_batched(
                 "GPU_SDist",
-                max(1, sum(len(elements) for elements, _, _ in sdist_jobs)),
+                max(1, n_elements),
                 n_jobs,
                 sdist_batch_kernel,
                 sdist_jobs,
-                get_sdist_kernel(self.config.sdist_backend),
+                get_sdist_kernel("GPU_SDist"),
                 self.config.delta_v,
                 self.config.sdist_early_exit,
             )
@@ -450,7 +450,7 @@ class KnnProcessor:
             for i in indices:
                 answers[i].gpu_phase_s["sdist"] = share
             sp.set_attr("jobs", n_jobs)
-            sp.set_attr("elements", sum(len(e) for e, _, _ in sdist_jobs))
+            sp.set_attr("elements", n_elements)
 
         with span("first_k") as sp:
             before = stats.kernel_time_s
@@ -522,25 +522,21 @@ class KnnProcessor:
     ) -> tuple[dict[int, float], list[tuple[int, float]], float]:
         """Phase 2 without the device: the degraded ``cpu_sdist`` rung.
 
-        Runs the *same* kernel functions — the vectorised SDist backend
-        plus First-k and Unresolved — as plain host code through a
-        :class:`~repro.simgpu.kernel.HostContext`.  Results are
-        bit-identical to :meth:`_gpu_candidates_batch` (property-tested for
-        the SDist backends); no launches, transfers or allocations touch
-        the simulated device, so a faulting GPU cannot interfere.
+        Runs the *same* kernel functions as the device path — the one
+        SDist kernel plus First-k and Unresolved — as plain host code
+        through a :class:`~repro.simgpu.kernel.HostContext`, so results
+        are bit-identical to :meth:`_gpu_candidates_batch`; no launches,
+        transfers or allocations touch the simulated device, so a
+        faulting GPU cannot interfere.
         """
-        from repro.core.sdist_vectorized import sdist_kernel_vectorized
-
         ctx = HostContext("cpu_sdist")
         with span("sdist_cpu") as sp:
             t0 = time.perf_counter()
             slab = self.grid.pack_of_cells(cells)
-            seeds = entry_costs(self.graph, location)
-            dist = sdist_kernel_vectorized(
+            dist = sdist_kernel(
                 ctx,
                 slab,
-                slab.vertex_list,
-                seeds,
+                entry_costs(self.graph, location),
                 self.config.delta_v,
                 self.config.sdist_early_exit,
             )

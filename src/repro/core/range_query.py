@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.core.cleaning import CleanedLocation
 from repro.core.knn import KnnProcessor, KnnResultEntry
 from repro.core.ordering import rank_results
-from repro.core.sdist import get_sdist_kernel
+from repro.core.sdist import sdist_kernel
 from repro.errors import QueryError
 from repro.roadnet.location import NetworkLocation, entry_costs, location_distance
 
@@ -91,9 +91,8 @@ def range_query(
         dist = processor.gpu.launch(
             "GPU_SDist",
             max(1, len(slab)),
-            get_sdist_kernel(config.sdist_backend),
+            sdist_kernel,
             slab,
-            slab.vertex_list,
             seeds,
             config.delta_v,
             config.sdist_early_exit,

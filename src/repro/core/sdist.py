@@ -10,49 +10,56 @@ separates rounds.  Distances are restricted to the shipped subgraph —
 edges whose source lies outside the candidate cells are skipped, which is
 exactly what the unresolved-vertex refinement compensates for.
 
+The kernel runs **synchronous rounds**: every relaxation of a round reads
+the distances the previous round left behind the barrier, and the round's
+improvements become visible only after the next ``sync_threads``.  That is
+what the barrier means on a device whose threads run concurrently — no
+thread may rely on another thread's write from the same round — so the
+charged rounds, ``rounds × delta_v`` lane operations per element thread
+plus one barrier per round, are the work such a device really does.  The
+host executes a round as one numpy gather and one ``minimum.at`` scatter
+over the :class:`~repro.core.graph_grid.CellSlab`'s packed edge records;
+a minimum is exact in any order, so the distances do not depend on the
+scatter order.
+
 Algorithm 5 always runs ``|V|`` rounds; with
 ``GGridConfig.sdist_early_exit`` (default on, ablated in the benchmarks)
-the kernel stops as soon as a round changes nothing, charging only the
-rounds it ran.
+the kernel stops after the first round that changes nothing, charging
+only the rounds it ran.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.graph_grid import CellSlab, GridVertexElement
+import numpy as np
+
+from repro.core.graph_grid import CellSlab
 from repro.core.ordering import result_sort_key
+from repro.errors import ConfigError
 from repro.simgpu.kernel import JobContext, KernelContext
 
 _INF = float("inf")
 
 
-def get_sdist_kernel(backend: str):
-    """Resolve the configured SDist backend.
+def get_sdist_kernel(name: str):
+    """Resolve the SDist kernel by its launch name, ``"GPU_SDist"``.
 
-    ``"lockstep"`` is the faithful per-element kernel below;
-    ``"vectorized"`` is the numpy formulation in
-    :mod:`repro.core.sdist_vectorized` (same results, faster host
-    simulation).
+    The fused epoch launch in :mod:`repro.core.knn` looks the kernel up
+    through this module global at every launch, so a profiler can wrap
+    what it returns without touching the library.
 
     Raises:
-        ConfigError: unknown backend name.
+        ConfigError: any other name.
     """
-    from repro.errors import ConfigError
-
-    if backend == "lockstep":
-        return sdist_kernel
-    if backend == "vectorized":
-        from repro.core.sdist_vectorized import sdist_kernel_vectorized
-
-        return sdist_kernel_vectorized
-    raise ConfigError(f"unknown sdist backend {backend!r}")
+    if name != "GPU_SDist":
+        raise ConfigError(f"unknown sdist kernel {name!r}")
+    return sdist_kernel
 
 
 def sdist_kernel(
     ctx: KernelContext,
-    elements: list[GridVertexElement] | CellSlab,
-    vertices: list[int],
+    slab: CellSlab,
     seeds: Mapping[int, float],
     delta_v: int,
     early_exit: bool = True,
@@ -61,46 +68,40 @@ def sdist_kernel(
 
     Args:
         ctx: kernel context (one thread per vertex element).
-        elements: vertex elements (incl. virtual) of the candidate cells;
-            each carries its incoming-edge records.  A
-            :class:`~repro.core.graph_grid.CellSlab` also works — this
-            faithful kernel iterates its per-element view.
-        vertices: the distinct real vertex ids (``V``); the round count.
+        slab: the candidate cells' packed subgraph; its vertices are
+            ``V`` (and bound the round count), its element count is the
+            thread count.
         seeds: ``{vertex: initial distance}`` from the query location
-            (see :func:`repro.roadnet.location.entry_costs`).
+            (see :func:`repro.roadnet.location.entry_costs`); seeds
+            outside the slab are ignored.
         delta_v: vertex capacity — the per-thread inner loop length.
-        early_exit: stop when a round makes no improvement.
+        early_exit: stop after the first round that changes nothing.
 
     Returns:
         ``{vertex: distance}`` for every vertex of ``V`` reachable from
-        the seeds *within* the candidate subgraph.
+        the seeds *within* the candidate subgraph, in slab order.
     """
-    in_set = set(vertices)
-    dist: dict[int, float] = {
-        v: seeds.get(v, _INF) for v in vertices
-    }
+    n = slab.n_vertices
+    dist = np.full(n, np.inf)
+    for v, cost in seeds.items():
+        i = slab.local_of(v)
+        if i is not None:
+            dist[i] = min(dist[i], cost)
+    src, tgt, wgt = slab.src_local, slab.tgt_local, slab.weights
+
     rounds_run = 0
-    for _ in range(max(1, len(vertices))):
-        changed = False
+    for _ in range(max(1, n)):
         rounds_run += 1
-        for element in elements:
-            v = element.real_id
-            dv = dist[v]
-            for rec in element.edges:
-                src = rec.source
-                if src not in in_set:
-                    continue  # source outside the shipped subgraph
-                ds = dist[src]
-                if ds + rec.weight < dv:
-                    dv = ds + rec.weight
-                    changed = True
-            dist[v] = dv
+        before = dist.copy()
+        if len(src):
+            np.minimum.at(dist, tgt, before[src] + wgt)
         ctx.sync_threads()
-        if early_exit and not changed:
+        if early_exit and np.array_equal(before, dist):
             break
     # every thread scans its delta_v edge slots each round (Algorithm 5)
-    ctx.charge(rounds_run * delta_v)
-    return {v: d for v, d in dist.items() if d < _INF}
+    ctx.charge(rounds_run * delta_v, n_threads=max(1, len(slab)))
+    reached = np.flatnonzero(dist < _INF)
+    return dict(zip(slab.vertex_ids[reached].tolist(), dist[reached].tolist()))
 
 
 def first_k_kernel(
@@ -165,7 +166,7 @@ def unresolved_kernel(
 
 def sdist_batch_kernel(
     ctx: KernelContext,
-    jobs: list[tuple[list[GridVertexElement] | CellSlab, list[int], Mapping[int, float]]],
+    jobs: list[tuple[CellSlab, Mapping[int, float]]],
     kernel,
     delta_v: int,
     early_exit: bool = True,
@@ -174,19 +175,19 @@ def sdist_batch_kernel(
 
     Args:
         ctx: the fused launch's context.
-        jobs: per query, its ``(elements, vertices, seeds)`` triple — the
-            same arguments the per-query :func:`sdist_kernel` takes.
-        kernel: the configured SDist backend (lockstep or vectorized).
+        jobs: per query, its ``(slab, seeds)`` pair — the same arguments
+            the per-query :func:`sdist_kernel` takes.
+        kernel: :func:`sdist_kernel`, as :func:`get_sdist_kernel`
+            resolves it.
         delta_v: vertex capacity (shared by all jobs; a config constant).
         early_exit: stop each job when a round changes nothing.
 
     Returns one ``{vertex: distance}`` map per job, in job order.
     """
-    results = []
-    for elements, vertices, seeds in jobs:
-        sub = JobContext(ctx, max(1, len(elements)))
-        results.append(kernel(sub, elements, vertices, seeds, delta_v, early_exit))
-    return results
+    return [
+        kernel(JobContext(ctx, max(1, len(slab))), slab, seeds, delta_v, early_exit)
+        for slab, seeds in jobs
+    ]
 
 
 def first_k_batch_kernel(

@@ -118,15 +118,15 @@ def test_single_query_counters_are_pinned():
         "kernel_launches": 84,
         "batched_launches": 0,
         "batched_jobs": 0,
-        "lane_ops": 17054,
+        "lane_ops": 19578,
         "shuffle_ops": 1677,
-        "sync_count": 67,
+        "sync_count": 93,
         "atomic_ops": 248,
         "bytes_h2d": 15628,
         "bytes_d2h": 5232,
         "transfers_h2d": 25,
         "transfers_d2h": 36,
-        "kernel_time_s": 0.0004546900000000008,
+        "kernel_time_s": 0.00046514200000000096,
         "transfer_time_s": 0.0006117383333333335,
         "pipelined_saved_s": 0.0,
     }

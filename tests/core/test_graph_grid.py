@@ -24,22 +24,46 @@ def test_cell_vertex_capacity(grid):
     assert all(cell.n_v <= grid.config.delta_c for cell in grid.cells)
 
 
+def _records_by_vertex(grid):
+    """``{vertex: [edge ids of its stored in-edge records]}`` read back
+    from the packed per-cell record arrays."""
+    records: dict[int, list[int]] = {}
+    ri = grid._cell_rec_indptr
+    for z, cell in enumerate(grid.cells):
+        for r in range(ri[z], ri[z + 1]):
+            vid = cell.real_vertices[grid._rec_tgt_pos[r]]
+            records.setdefault(vid, []).append(int(grid._rec_edge_id[r]))
+    return records
+
+
 def test_elements_respect_vertex_capacity(grid):
-    for cell in grid.cells:
-        for element in cell.elements:
-            assert element.n <= grid.config.delta_v
+    """Each cell packs ``max(1, ceil(in-degree / delta_v))`` elements per
+    vertex, so no element holds more than ``delta_v`` records."""
+    records = _records_by_vertex(grid)
+    delta_v = grid.config.delta_v
+    for z, cell in enumerate(grid.cells):
+        elements = [max(1, -(-len(records.get(v, [])) // delta_v)) for v in cell.real_vertices]
+        assert grid._cell_elem_counts[z] == sum(elements)
+        assert len(grid.pack_of_cells({z})) == sum(elements)
+        for v, n_el in zip(cell.real_vertices, elements):
+            assert len(records.get(v, [])) <= n_el * delta_v
 
 
 def test_virtual_vertices_cover_all_in_edges(grid, small_graph):
-    """Every in-edge of every vertex is stored in exactly one element."""
+    """Every in-edge of every vertex is stored exactly once, with its
+    destination vertex, and with its source and weight."""
     stored: dict[int, int] = {}
-    for cell in grid.cells:
-        for element in cell.elements:
-            for rec in element.edges:
-                assert rec.edge_id not in stored
-                stored[rec.edge_id] = element.real_id
+    for vid, edge_ids in _records_by_vertex(grid).items():
+        for edge_id in edge_ids:
+            assert edge_id not in stored
+            stored[edge_id] = vid
+    assert len(stored) == small_graph.num_edges
     for e in small_graph.edges():
         assert stored[e.id] == e.dest
+    by_id = {int(i): r for r, i in enumerate(grid._rec_edge_id)}
+    for e in small_graph.edges():
+        assert grid._rec_src[by_id[e.id]] == e.source
+        assert grid._rec_weight[by_id[e.id]] == e.weight
 
 
 def test_virtual_vertex_creation():
@@ -50,15 +74,10 @@ def test_virtual_vertex_creation():
         v = g.add_vertex()
         g.add_bidirectional_edge(v, hub, 1.0)
     grid = GraphGrid.build(g, GGridConfig(delta_c=6, delta_v=2))
-    elements = [
-        el
-        for cell in grid.cells
-        for el in cell.elements
-        if el.real_id == hub
-    ]
-    assert len(elements) == 3  # ceil(5 / 2)
-    assert sum(el.n for el in elements) == 5
-    assert [el.virtual_rank for el in elements] == [0, 1, 2]
+    assert grid.num_cells == 1
+    assert len(_records_by_vertex(grid)[hub]) == 5
+    # ceil(5 / 2) = 3 elements for the hub, one per single-in-edge leaf
+    assert len(grid.pack_of_cells({0})) == 3 + 5
 
 
 def test_inverted_index_routes_by_source(grid, small_graph):
@@ -94,14 +113,15 @@ def test_neighbors_of_set_excludes_set(grid):
     assert not (ring & cells)
 
 
-def test_vertices_and_elements_of_cells(grid):
+def test_vertices_and_element_counts_of_cells(grid):
     cells = set(range(min(4, grid.num_cells)))
     vertices = grid.vertices_of_cells(cells)
     assert len(vertices) == len(set(vertices))
-    elements = grid.elements_of_cells(cells)
-    assert {el.real_id for el in elements} == set(vertices) | {
-        el.real_id for el in elements if el.n == 0
-    }
+    assert vertices == [v for z in sorted(cells) for v in grid.cells[z].real_vertices]
+    slab = grid.pack_of_cells(cells)
+    assert slab.vertex_ids.tolist() == vertices
+    assert len(slab) == sum(int(grid._cell_elem_counts[z]) for z in cells)
+    assert len(slab) >= len(vertices)  # every vertex owns at least one element
 
 
 def test_boundary_vertices_definition(grid, small_graph):
@@ -125,3 +145,7 @@ def test_size_accounting_positive(grid, small_graph):
     assert grid.size_bytes() > grid.device_nbytes() > 0
     # CPU copy adds the inverted index over all edges
     assert grid.size_bytes() - grid.device_nbytes() >= small_graph.num_edges * 12
+    # pinned byte model; delta_v = 1 overflows 12 elements past delta_c
+    assert (grid.size_bytes(), grid.device_nbytes()) == (14168, 8192)
+    overflowing = GraphGrid.build(small_graph, GGridConfig(delta_v=1))
+    assert (overflowing.size_bytes(), overflowing.device_nbytes()) == (14552, 8576)

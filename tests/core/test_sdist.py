@@ -25,15 +25,13 @@ def _restricted_dijkstra(graph, vertices, seeds):
 
 def _run_sdist(graph, grid, cells, seeds, early_exit=True):
     gpu = SimGpu()
-    vertices = grid.vertices_of_cells(cells)
-    elements = grid.elements_of_cells(cells)
+    slab = grid.pack_of_cells(cells)
     return (
         gpu.launch(
             "sdist",
-            max(1, len(elements)),
+            max(1, len(slab)),
             sdist_kernel,
-            elements,
-            vertices,
+            slab,
             seeds,
             grid.config.delta_v,
             early_exit,

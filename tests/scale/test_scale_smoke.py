@@ -50,9 +50,7 @@ def scale_world():
     started = time.perf_counter()
     graph = grid_road_network(317, 317, seed=7)
     assert graph.num_vertices >= MIN_VERTICES
-    config = GGridConfig(
-        delta_c=64, partitioner="geometric", sdist_backend="vectorized"
-    )
+    config = GGridConfig(delta_c=64, partitioner="geometric")
     index = GGridIndex(graph, config)
     rng = random.Random(11)
     placements: dict[int, NetworkLocation] = {}

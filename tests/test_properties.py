@@ -55,14 +55,13 @@ def _answers(index, rng, t, queries=4):
     st.sampled_from((2, 8, 64)),
     st.integers(3, 5),
     st.floats(1.3, 3.0),
-    st.sampled_from(("lockstep", "vectorized")),
 )
-def test_answers_invariant_to_tuning(seed, delta_b, eta, rho, backend):
+def test_answers_invariant_to_tuning(seed, delta_b, eta, rho):
     rng = random.Random(seed)
     msgs, t = _messages(rng)
     tuned = GGridIndex(
         _GRAPH,
-        GGridConfig(delta_b=delta_b, eta=eta, rho=rho, sdist_backend=backend),
+        GGridConfig(delta_b=delta_b, eta=eta, rho=rho),
     )
     reference = GGridIndex(_GRAPH, GGridConfig())
     for m in msgs:
