@@ -22,6 +22,7 @@ from repro.chaos.hub import chaos_context
 from repro.chaos.plan import FaultPlan
 from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
+from repro.core.ordering import answer_mismatches
 from repro.mobility.workload import make_workload
 from repro.roadnet.datasets import load_dataset
 from repro.server.metrics import ReplayReport, TimingModel
@@ -121,12 +122,7 @@ def run_chaos_replay(
         faults = dict(injector.counts) if injector is not None else {}
         trips = chaos_index.breaker.trips
 
-    mismatches = [
-        i
-        for i, (base, got) in enumerate(zip(baseline_answers, chaos_answers))
-        if [round(d, 9) for d in base.distances()]
-        != [round(d, 9) for d in got.distances()]
-    ]
+    mismatches = answer_mismatches(chaos_answers, baseline_answers)
     return ChaosReport(
         plan=plan,
         baseline=baseline_report,

@@ -55,7 +55,7 @@ from repro.core.knn import KnnAnswer, KnnResultEntry
 from repro.core.messages import Message
 from repro.core.ordering import rank_results
 from repro.core.range_query import RangeAnswer
-from repro.errors import ClusterError, QueryError
+from repro.errors import ClusterError
 from repro.mobility.workload import Query, Workload
 from repro.obs.hub import Observability, default_observability
 from repro.obs.metrics import RateLimitedWarner, linear_buckets
@@ -68,7 +68,7 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
 from repro.server.batching import BatchPolicy, default_batch_policy
 from repro.server.metrics import QueryRecord, ReplayReport, TimingModel
-from repro.server.server import QueryServer
+from repro.server.server import QueryServer, replay_workload
 
 _INF = float("inf")
 
@@ -821,45 +821,13 @@ class ShardRouter:
         """Replay a workload through the cluster (same contract as
         :meth:`QueryServer.replay`: initial load counts as updates,
         updates flush pending epochs, answers align with query order)."""
-        report = ReplayReport(index_name=self.name, timing=self.timing)
-        answers: list[KnnAnswer] = []
-        batching = self.batch.enabled
-        pending: list[Query] = []
-
-        def flush() -> None:
-            if pending:
-                got = self.query_batch(pending, report)
-                if collect_answers:
-                    answers.extend(got)
-                pending.clear()
-
-        for obj, loc in workload.initial.items():
-            self.update(Message(obj, loc.edge_id, loc.offset, 0.0), report)
-        for kind, event in workload.events():
-            if kind == "update":
-                if not isinstance(event, Message):
-                    raise QueryError(
-                        f"workload produced an update event that is not a "
-                        f"Message: {type(event).__name__}"
-                    )
-                flush()  # updates close the current epoch
-                self.update(event, report)
-            else:
-                if not isinstance(event, Query):
-                    raise QueryError(
-                        f"workload produced a query event that is not a "
-                        f"Query: {type(event).__name__}"
-                    )
-                if batching:
-                    pending.append(event)
-                    if len(pending) >= self.batch.batch_size:
-                        flush()
-                else:
-                    answer = self.query(event, report)
-                    if collect_answers:
-                        answers.append(answer)
-        flush()
-        return report, answers
+        return replay_workload(
+            self,
+            workload,
+            ReplayReport(index_name=self.name, timing=self.timing),
+            self.batch.batch_size,
+            collect_answers,
+        )
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -23,8 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.config import GGridConfig
 from repro.core.message_list import Bucket, MessageList
 from repro.core.messages import CellMessage, Message
@@ -37,10 +35,6 @@ from repro.simgpu.stream import PipelinedStream
 
 #: Buckets are shipped to the GPU in chunks of this many bundles.
 _CHUNK_BUNDLES = 4
-
-#: Host dedup switches from the scalar loop to the columnar lexsort at
-#: this many messages (numpy setup costs more than it saves below it).
-_HOST_DEDUP_SCALAR_MAX = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,68 +221,24 @@ class MessageCleaner:
         on that key the two may pick different ones (see :meth:`clean`).
         Used by the resilience ladder when the GPU is faulting; the wall
         time it costs is charged through the normal CPU-phase measurement
-        of the caller.
-
-        Above ``_HOST_DEDUP_SCALAR_MAX`` messages the scan runs over the
-        buckets' cached ``(obj, t, removal)`` columns with one lexsort
-        instead of a per-message dict probe; the winner per object (the
-        *first* message carrying the maximal ``(t, flag)`` key) and even
-        the result's insertion order (objects by first occurrence) match
-        the scalar loop exactly — equivalence-tested in
-        ``tests/core/test_cleaning.py``.
+        of the caller.  The winner per object is the *first* message
+        carrying the maximal ``(t, flag)`` key, and objects keep their
+        first-occurrence order.
         """
         total = sum(bucket.n for _, bucket in live_pairs)
         with span("dedup_host") as sp:
             result.messages_processed += total
             sp.set_attr("messages", total)
-            if total == 0:
-                return {}
-            if total <= _HOST_DEDUP_SCALAR_MAX:
-                winners: dict[int, tuple[tuple[float, int], int, Message]] = {}
-                for cell, bucket in live_pairs:
-                    for m in bucket.messages:
-                        key = (m.t, 0 if m.is_removal else 1)
-                        prev = winners.get(m.obj)
-                        if prev is None or prev[0] < key:
-                            winners[m.obj] = (key, cell, m)
-                return {
-                    obj: CellMessage.tag(m, cell)
-                    for obj, (_, cell, m) in winners.items()
-                }
-            # columnar path: concatenate the bucket columns, lexsort by
-            # (obj, t, flag, -seq) and take each object group's last row
-            objs = np.empty(total, dtype=np.int64)
-            ts = np.empty(total, dtype=np.float64)
-            flags = np.empty(total, dtype=np.int64)
-            starts: list[int] = []
-            at = 0
+            winners: dict[int, tuple[tuple[float, int], int, Message]] = {}
             for cell, bucket in live_pairs:
-                o, t, fl = bucket.columns()
-                n = len(o)
-                objs[at : at + n] = o
-                ts[at : at + n] = t
-                flags[at : at + n] = fl
-                starts.append(at)
-                at += n
-            seq = np.arange(total, dtype=np.int64)
-            order = np.lexsort((-seq, flags, ts, objs))
-            sorted_objs = objs[order]
-            last = np.nonzero(np.append(sorted_objs[1:] != sorted_objs[:-1], True))[0]
-            group_starts = np.concatenate(([0], last[:-1] + 1))
-            win_seq = order[last]  # earliest message with the max (t, flag)
-            # scalar-identical insertion order: objects by first occurrence
-            first_seq = np.minimum.reduceat(order, group_starts)
-            group_rank = np.argsort(first_seq, kind="stable")
-            pair_starts = np.asarray(starts, dtype=np.int64)
-            pair_idx = np.searchsorted(pair_starts, win_seq, side="right") - 1
-            latest: dict[int, CellMessage] = {}
-            for g in group_rank.tolist():
-                s = int(win_seq[g])
-                pi = int(pair_idx[g])
-                cell, bucket = live_pairs[pi]
-                m = bucket.messages[s - int(pair_starts[pi])]
-                latest[m.obj] = CellMessage.tag(m, cell)
-            return latest
+                for m in bucket.messages:
+                    key = (m.t, 0 if m.is_removal else 1)
+                    prev = winners.get(m.obj)
+                    if prev is None or prev[0] < key:
+                        winners[m.obj] = (key, cell, m)
+            return {
+                obj: CellMessage.tag(m, cell) for obj, (_, cell, m) in winners.items()
+            }
 
     def _run_gpu_pipeline(
         self,

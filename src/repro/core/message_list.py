@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from repro.errors import CapacityError, CleaningLockError
 from repro.core.messages import Message
 from repro.simgpu.memory import MESSAGE_BYTES
@@ -37,10 +35,6 @@ class Bucket:
     messages: list[Message] = field(default_factory=list)
     next: "Bucket | None" = None
     cell: int | None = None
-    #: cached ``(obj, t, removal_flag)`` columns + the length they cover
-    _cols: tuple[np.ndarray, np.ndarray, np.ndarray, int] | None = field(
-        default=None, repr=False, compare=False
-    )
     #: running max of the message timestamps, kept by :meth:`append`
     _t: float = field(default=float("-inf"), init=False, repr=False, compare=False)
 
@@ -50,29 +44,6 @@ class Bucket:
     @property
     def n(self) -> int:
         return len(self.messages)
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-backed ``(obj, t, flag)`` columns over the messages.
-
-        ``flag`` is the sort-key tiebreak of
-        :attr:`repro.core.messages.Message.sort_key`: 0 for removal
-        markers, 1 for location updates.  Cached until the bucket grows
-        (buckets are append-only), so repeated host dedups of the same
-        backlog pay the materialisation once.
-        """
-        cols = self._cols
-        n = len(self.messages)
-        if cols is None or cols[3] != n:
-            cols = (
-                np.fromiter((m.obj for m in self.messages), np.int64, n),
-                np.fromiter((m.t for m in self.messages), np.float64, n),
-                np.fromiter(
-                    (0 if m.is_removal else 1 for m in self.messages), np.int64, n
-                ),
-                n,
-            )
-            self._cols = cols
-        return cols[0], cols[1], cols[2]
 
     @property
     def t(self) -> float:

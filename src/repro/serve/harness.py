@@ -36,7 +36,9 @@ from repro.chaos.hub import chaos_context
 from repro.chaos.plan import FaultPlan
 from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
+from repro.core.knn import KnnAnswer
 from repro.core.messages import Message
+from repro.core.ordering import answer_mismatches
 from repro.errors import ShedError
 from repro.obs.hub import Observability
 from repro.obs.slo import CLASS_FREE, CLASS_PAID
@@ -254,7 +256,7 @@ def replay_oracle(
     graph: RoadNetwork,
     execution_log: list[tuple[Any, ...]],
     config: GGridConfig | None = None,
-) -> list[list[float]]:
+) -> list[KnnAnswer]:
     """Re-execute a front door's log on a fresh fault-free single index.
 
     The log holds exactly what the front door asked its backend to do —
@@ -265,19 +267,17 @@ def replay_oracle(
     ground truth for "admitted answers are never wrong".
 
     Returns:
-        The oracle's result distances (rounded to 9 decimals) for each
-        query entry, in log order.
+        The oracle's answer for each query entry, in log order.
     """
     index = GGridIndex(graph, config)
-    distances: list[list[float]] = []
+    answers: list[KnnAnswer] = []
     for entry in execution_log:
         if entry[0] == "update":
             index.ingest(entry[1])
         else:
             _, q, t_epoch = entry
-            answer = index.knn(q.location, q.k, t_now=t_epoch)
-            distances.append([round(d, 9) for d in answer.distances()])
-    return distances
+            answers.append(index.knn(q.location, q.k, t_now=t_epoch))
+    return answers
 
 
 def run_serve_replay(
@@ -360,14 +360,7 @@ def run_serve_replay(
         front, faults, trips, suppressed = serve()
 
     oracle = replay_oracle(graph, front.execution_log, config)
-    served = [
-        [round(d, 9) for d in answer.distances()] for answer in front.answers
-    ]
-    mismatches = [
-        i for i, (want, got) in enumerate(zip(oracle, served)) if want != got
-    ]
-    if len(oracle) != len(served):
-        mismatches.append(min(len(oracle), len(served)))
+    mismatches = answer_mismatches(front.answers, oracle)
     return ServeReport(
         overload=overload,
         closed_loop=closed_loop,

@@ -337,19 +337,7 @@ class QueryServer:
                 inst.gpu_kernel_seconds.inc(gpu_s)
             if backpressured:
                 inst.backpressure.inc(backpressured)
-            breaker = getattr(self.index, "breaker", None)
-            if breaker is not None:
-                code = breaker.state_code
-                inst.breaker_state.set(code)
-                if (
-                    code == 2
-                    and self._last_breaker != 2
-                    and self.obs.flight is not None
-                ):
-                    self.obs.flight.trigger(
-                        "breaker_open", detail=f"index={self.index.name}"
-                    )
-                self._last_breaker = code
+            self._publish_breaker(inst)
 
     def remove_object(self, obj: int, t: float) -> None:
         """Deregister an object durably (WAL-logged when durability is on).
@@ -395,6 +383,9 @@ class QueryServer:
     ) -> KnnAnswer:
         """Answer one query, charging its cost to the report.
 
+        A query is an epoch of one: it runs the same path as
+        :meth:`query_batch`, which only adds the batch counters.
+
         ``trace_parent`` is an encoded
         :class:`~repro.obs.tracing.TraceContext` header from an upstream
         component (the cluster router's per-shard probe span): the
@@ -405,57 +396,72 @@ class QueryServer:
         cache, then executes on whichever backend the planner chooses;
         without one it goes straight to the primary index.
         """
-        if self.planner is not None:
-            return self._planned_query(q, report, trace_parent)
-        return self._knn_direct(self.index, q, report, trace_parent)
+        return self._serve([q], report, trace_parent)[0]
 
-    def _knn_direct(
+    def query_batch(
         self,
-        index: KnnIndex,
-        q: Query,
+        queries: list[Query],
         report: ReplayReport,
         trace_parent: str | None = None,
-    ) -> KnnAnswer:
-        """Execute one query on a specific backend with full accounting."""
-        gpu = getattr(index, "gpu", None)
-        before = gpu.stats.snapshot() if gpu else None
-        tracer = self.obs.tracer if self.obs is not None else None
-        trace_id: str | None = None
-        t0 = time.perf_counter()
-        if tracer is not None:
-            with tracer.activate(), tracer.span(
-                "query", {"k": q.k, "t": q.t}, parent=trace_parent
-            ) as sp:
-                answer = index.knn(q.location, q.k, t_now=q.t)
-                sp.set_attr("cells_cleaned", answer.cells_cleaned)
-                sp.set_attr("candidates", answer.candidates)
-            trace_id = sp.trace_id_hex
-        else:
-            answer = index.knn(q.location, q.k, t_now=q.t)
-        wall = time.perf_counter() - t0
-        gpu_s = 0.0
-        transfer = 0
-        if gpu and before is not None:
-            delta = gpu.stats.diff(before)
-            gpu_s = delta.gpu_time_s
-            transfer = delta.total_bytes
-        self._record_answer(
-            answer, wall, gpu_s, transfer, report, t=q.t, trace_id=trace_id
-        )
-        return answer
+    ) -> list[KnnAnswer]:
+        """Execute one epoch of queries, charging its cost to the report.
 
-    def _planned_query(
-        self, q: Query, report: ReplayReport, trace_parent: str | None = None
-    ) -> KnnAnswer:
-        """Cache lookup → plan → execute → verify (DESIGN.md §17)."""
-        hit = self.planner.cached_answer(q)
-        if hit is not None:
-            # byte-identical entries, zero modelled cost: no kernels, no
-            # cleaning, no refinement ran on anyone's behalf
-            self._record_answer(hit, 0.0, 0.0, 0, report, t=q.t)
-            return hit
-        plan = self.planner.plan_query(q)
-        return self._execute_plan(q, plan, report, trace_parent)
+        All queries run at ``t_epoch = max(q.t)`` through the index's
+        batched engine (one deduplicated cleaning pass, fused candidate
+        kernels, one shared transfer); per-query answers are identical
+        to sequential execution.  The epoch's GPU time and wall time are
+        attributed to the queries as equal shares (transfer bytes get
+        their division remainder on the first query, so totals are
+        exact).  An epoch of one — and every query on an index without
+        ``knn_batch`` — is recorded exactly as :meth:`query` records it;
+        only ``n_batches`` and the batch metrics tell them apart.
+        ``trace_parent`` joins the epoch span to an upstream trace, as
+        in :meth:`query`.
+        """
+        if not queries:
+            return []
+        report.n_batches += 1
+        inst = self._inst
+        if inst is not None:
+            inst.batches.inc()
+            inst.batch_size.observe(len(queries))
+        return self._serve(queries, report, trace_parent)
+
+    def _serve(
+        self,
+        queries: list[Query],
+        report: ReplayReport,
+        trace_parent: str | None,
+    ) -> list[KnnAnswer]:
+        """Cache lookup → plan → execute → verify (DESIGN.md §17).
+
+        One plan decision per epoch: cache hits are served first, then
+        the planner routes the remaining misses as a group.  The chosen
+        backend executes the misses one at a time (epoch fusion on the
+        primary's batch engine is forfeited, answer-identically).
+        Without a planner the epoch goes straight to the primary index.
+        """
+        planner = self.planner
+        if planner is None:
+            return self._execute(self.index, queries, report, trace_parent)
+        answers: list[KnnAnswer | None] = []
+        misses: list[int] = []
+        for i, q in enumerate(queries):
+            hit = planner.cached_answer(q)
+            if hit is None:
+                misses.append(i)
+            else:
+                # byte-identical entries, zero modelled cost: no kernels,
+                # no cleaning, no refinement ran on anyone's behalf
+                self._record_answer(hit, 0.0, 0.0, 0, report, t=q.t)
+            answers.append(hit)
+        if misses:
+            plan = planner.plan_epoch([queries[i] for i in misses])
+            for i in misses:
+                answers[i] = self._execute_plan(
+                    queries[i], plan, report, trace_parent
+                )
+        return answers  # type: ignore[return-value]
 
     def _execute_plan(
         self,
@@ -478,117 +484,87 @@ class QueryServer:
                 parent=trace_parent,
             ) as sp:
                 sp.set_attr("reason", plan.reason)
-                answer = self._knn_direct(
-                    backend, q, report, trace_parent=sp.context.encode()
+                (answer,) = self._execute(
+                    backend, [q], report, trace_parent=sp.context.encode()
                 )
         else:
-            answer = self._knn_direct(backend, q, report, trace_parent=None)
+            (answer,) = self._execute(backend, [q], report, trace_parent=None)
         self.planner.observe_result(plan, answer, probe)
         self.planner.cache_store(q, answer)
         return answer
 
-    def query_batch(
+    def _execute(
         self,
+        index: KnnIndex,
         queries: list[Query],
         report: ReplayReport,
         trace_parent: str | None = None,
     ) -> list[KnnAnswer]:
-        """Execute one epoch of queries, charging its cost to the report.
+        """Run one epoch on a specific backend with full accounting.
 
-        All queries run at ``t_epoch = max(q.t)`` through the index's
-        batched engine (one deduplicated cleaning pass, fused candidate
-        kernels, one shared transfer); per-query answers are identical
-        to sequential execution.  The epoch's GPU time and wall time are
-        attributed to the queries as equal shares (transfer bytes get
-        their division remainder on the first query, so totals are
-        exact).  Single-query epochs — and indexes without ``knn_batch``
-        — go through :meth:`query` unchanged.  ``trace_parent`` joins
-        the epoch span to an upstream trace, as in :meth:`query`.
+        One query calls ``index.knn`` under a ``query`` span; a larger
+        epoch calls ``index.knn_batch`` under a ``batch`` span.  A
+        backend without ``knn_batch`` runs its epoch one query at a
+        time, each with its own accounting.
         """
-        if not queries:
-            return []
         n = len(queries)
-        report.n_batches += 1
-        inst = self._inst
-        if inst is not None:
-            inst.batches.inc()
-            inst.batch_size.observe(n)
-        if self.planner is not None:
-            return self._planned_batch(queries, report, trace_parent)
-        index_batch = getattr(self.index, "knn_batch", None)
-        if n == 1 or index_batch is None:
-            return [self.query(q, report, trace_parent) for q in queries]
-
-        gpu = self._gpu
+        knn_batch = getattr(index, "knn_batch", None) if n > 1 else None
+        if n > 1 and knn_batch is None:
+            return [
+                self._execute(index, [q], report, trace_parent)[0] for q in queries
+            ]
+        gpu = getattr(index, "gpu", None)
         before = gpu.stats.snapshot() if gpu else None
-        t_epoch = max(q.t for q in queries)
-        exec_stats = BatchExecStats()
-        batch_queries = [(q.location, q.k) for q in queries]
+        exec_stats = BatchExecStats() if knn_batch is not None else None
+        t = max(q.t for q in queries)
         tracer = self.obs.tracer if self.obs is not None else None
         trace_id: str | None = None
         t0 = time.perf_counter()
-        if tracer is not None:
+        if tracer is None:
+            answers = _run_knn(index, queries, t, exec_stats)
+        elif exec_stats is None:
             with tracer.activate(), tracer.span(
-                "batch", {"queries": n, "t": t_epoch}, parent=trace_parent
+                "query", {"k": queries[0].k, "t": t}, parent=trace_parent
             ) as sp:
-                answers = index_batch(
-                    batch_queries, t_now=t_epoch, exec_stats=exec_stats
-                )
+                answers = _run_knn(index, queries, t, exec_stats)
+                sp.set_attr("cells_cleaned", answers[0].cells_cleaned)
+                sp.set_attr("candidates", answers[0].candidates)
+            trace_id = sp.trace_id_hex
+        else:
+            with tracer.activate(), tracer.span(
+                "batch", {"queries": n, "t": t}, parent=trace_parent
+            ) as sp:
+                answers = _run_knn(index, queries, t, exec_stats)
                 sp.set_attr("cells_cleaned", exec_stats.cells_cleaned)
                 sp.set_attr("cells_deduped", exec_stats.cells_deduped)
             trace_id = sp.trace_id_hex
-        else:
-            answers = index_batch(batch_queries, t_now=t_epoch, exec_stats=exec_stats)
         wall = time.perf_counter() - t0
 
+        # equal shares of the epoch; for n == 1, /1 and divmod(x, 1)
+        # are exact, so a lone query keeps its own measured costs
         gpu_share = 0.0
         transfer_share = transfer_rem = 0
         if gpu and before is not None:
             delta = gpu.stats.diff(before)
             gpu_share = delta.gpu_time_s / n
             transfer_share, transfer_rem = divmod(delta.total_bytes, n)
-        report.batch_cells_deduped += exec_stats.cells_deduped
-        if inst is not None:
-            inst.batch_cells_cleaned.inc(exec_stats.cells_cleaned)
-            inst.batch_cells_deduped.inc(exec_stats.cells_deduped)
+        inst = self._inst
+        if exec_stats is not None:
+            report.batch_cells_deduped += exec_stats.cells_deduped
+            if inst is not None:
+                inst.batch_cells_cleaned.inc(exec_stats.cells_cleaned)
+                inst.batch_cells_deduped.inc(exec_stats.cells_deduped)
         for i, answer in enumerate(answers):
-            transfer = transfer_share + (transfer_rem if i == 0 else 0)
             self._record_answer(
                 answer,
                 wall / n,
                 gpu_share,
-                transfer,
+                transfer_share + (transfer_rem if i == 0 else 0),
                 report,
-                t=t_epoch,
+                t=t,
                 trace_id=trace_id,
             )
         return answers
-
-    def _planned_batch(
-        self,
-        queries: list[Query],
-        report: ReplayReport,
-        trace_parent: str | None = None,
-    ) -> list[KnnAnswer]:
-        """One plan decision per epoch: cache hits are served first,
-        then the planner routes the remaining misses as a group (epoch
-        fusion on the primary's batch engine is forfeited — the chosen
-        backend executes the misses sequentially, which the batch
-        docstring already guarantees is answer-identical)."""
-        slots: list[KnnAnswer | None] = [None] * len(queries)
-        misses: list[int] = []
-        for i, q in enumerate(queries):
-            hit = self.planner.cached_answer(q)
-            if hit is not None:
-                self._record_answer(hit, 0.0, 0.0, 0, report, t=q.t)
-                slots[i] = hit
-            else:
-                misses.append(i)
-        if misses:
-            plan = self.planner.plan_epoch([queries[i] for i in misses])
-            for i in misses:
-                slots[i] = self._execute_plan(queries[i], plan, report, trace_parent)
-        return slots
 
     def _record_answer(
         self,
@@ -674,13 +650,7 @@ class QueryServer:
                     "fault",
                     detail=f"rung={answer.degraded_rung} trace={trace_id}",
                 )
-        breaker = getattr(self.index, "breaker", None)
-        if breaker is not None:
-            code = breaker.state_code
-            inst.breaker_state.set(code)
-            if code == 2 and self._last_breaker != 2 and flight is not None:
-                flight.trigger("breaker_open", detail=f"index={self.index.name}")
-            self._last_breaker = code
+        self._publish_breaker(inst)
         if self.publish_slo:
             inst.slo.record(classify_fanout(1), modeled, t, trace_id=trace_id)
         if answer.used_fallback:
@@ -708,6 +678,18 @@ class QueryServer:
         if callable(pending):
             inst.backlog.set(pending())
 
+    def _publish_breaker(self, inst: ServerInstruments) -> None:
+        """Sample the breaker state gauge; flight-record a fresh open."""
+        breaker = getattr(self.index, "breaker", None)
+        if breaker is None:
+            return
+        code = breaker.state_code
+        inst.breaker_state.set(code)
+        flight = self.obs.flight
+        if code == 2 and self._last_breaker != 2 and flight is not None:
+            flight.trigger("breaker_open", detail=f"index={self.index.name}")
+        self._last_breaker = code
+
     # ------------------------------------------------------------------
     # workload replay
     # ------------------------------------------------------------------
@@ -720,51 +702,92 @@ class QueryServer:
         metric charges *all* index maintenance to the queries it serves.
 
         With an enabled :class:`~repro.server.batching.BatchPolicy`
-        (``batch_size > 1``) consecutive queries accumulate into epochs
-        of up to ``batch_size``; any update event flushes the pending
-        epoch first, so the index state every query observes — and hence
+        (``batch_size > 1``) and an index exposing ``knn_batch``,
+        consecutive queries accumulate into epochs of up to
+        ``batch_size``; any update event flushes the pending epoch
+        first, so the index state every query observes — and hence
         every answer — is identical to sequential replay.
 
         Returns:
             The report and, when ``collect_answers``, the per-query
             answers (for correctness cross-checks).
         """
-        report = ReplayReport(index_name=self.index.name, timing=self.timing)
-        answers: list[KnnAnswer] = []
         batching = self.batch.enabled and hasattr(self.index, "knn_batch")
-        pending: list[Query] = []
+        return replay_workload(
+            self,
+            workload,
+            ReplayReport(index_name=self.index.name, timing=self.timing),
+            self.batch.batch_size if batching else 1,
+            collect_answers,
+        )
 
-        def flush() -> None:
-            if pending:
-                got = self.query_batch(pending, report)
-                if collect_answers:
-                    answers.extend(got)
-                pending.clear()
 
-        for obj, loc in workload.initial.items():
-            self.update(Message(obj, loc.edge_id, loc.offset, 0.0), report)
-        for kind, event in workload.events():
-            if kind == "update":
-                if not isinstance(event, Message):
-                    raise QueryError(
-                        f"workload produced an update event that is not a "
-                        f"Message: {type(event).__name__}"
-                    )
-                flush()  # updates close the current epoch
-                self.update(event, report)
+def _run_knn(
+    index: KnnIndex,
+    queries: list[Query],
+    t: float,
+    exec_stats: BatchExecStats | None,
+) -> list[KnnAnswer]:
+    """One epoch's answers: ``knn`` for a lone query, else ``knn_batch``."""
+    if exec_stats is None:
+        (q,) = queries
+        return [index.knn(q.location, q.k, t_now=t)]
+    return index.knn_batch(
+        [(q.location, q.k) for q in queries], t_now=t, exec_stats=exec_stats
+    )
+
+
+def replay_workload(
+    front: "object",
+    workload: Workload,
+    report: ReplayReport,
+    batch_size: int,
+    collect_answers: bool = False,
+) -> tuple[ReplayReport, list[KnnAnswer]]:
+    """The replay loop of :class:`QueryServer` and the cluster router.
+
+    ``front`` exposes ``update``, ``query`` and ``query_batch`` with the
+    server's signatures.  Every workload placement and update goes
+    through ``front.update``.  With ``batch_size > 1`` consecutive
+    queries run as epochs of up to ``batch_size`` through
+    ``front.query_batch``, and an update closes the pending epoch;
+    otherwise each query goes through ``front.query``.  Answers align
+    with query order.
+    """
+    answers: list[KnnAnswer] = []
+    pending: list[Query] = []
+
+    def flush() -> None:
+        if pending:
+            got = front.query_batch(pending, report)
+            if collect_answers:
+                answers.extend(got)
+            pending.clear()
+
+    for obj, loc in workload.initial.items():
+        front.update(Message(obj, loc.edge_id, loc.offset, 0.0), report)
+    for kind, event in workload.events():
+        if kind == "update":
+            if not isinstance(event, Message):
+                raise QueryError(
+                    f"workload produced an update event that is not a "
+                    f"Message: {type(event).__name__}"
+                )
+            flush()  # updates close the current epoch
+            front.update(event, report)
+        else:
+            if not isinstance(event, Query):
+                raise QueryError(
+                    f"workload produced a query event that is not a "
+                    f"Query: {type(event).__name__}"
+                )
+            if batch_size > 1:
+                pending.append(event)
+                if len(pending) >= batch_size:
+                    flush()
             else:
-                if not isinstance(event, Query):
-                    raise QueryError(
-                        f"workload produced a query event that is not a "
-                        f"Query: {type(event).__name__}"
-                    )
-                if batching:
-                    pending.append(event)
-                    if len(pending) >= self.batch.batch_size:
-                        flush()
-                else:
-                    answer = self.query(event, report)
-                    if collect_answers:
-                        answers.append(answer)
-        flush()
-        return report, answers
+                answer = front.query(event, report)
+                if collect_answers:
+                    answers.append(answer)
+    flush()
+    return report, answers

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
 from repro.core.messages import Message
+from repro.core.ordering import same_answer
 from repro.mobility.workload import make_workload, random_locations
 from repro.roadnet.datasets import load_dataset
 from repro.roadnet.graph import RoadNetwork
@@ -34,7 +35,8 @@ class SubscriptionReplayOutcome:
     ``answers_match`` is the headline: every subscriber's incremental
     entries equalled the full-refresh twin's after every tick.
     ``mismatches`` lists ``(tick_index, sub_id)`` for any that did not
-    (rounded to 9 decimals for sharded backends, exact otherwise).
+    (under :func:`~repro.core.ordering.same_answer`: the oracle rule for
+    sharded backends, byte identity otherwise).
     """
 
     ticks: int
@@ -47,14 +49,6 @@ class SubscriptionReplayOutcome:
     full_cells_cleaned: int
     answers_match: bool
     mismatches: list[tuple[int, int]] = field(default_factory=list)
-
-
-def _entries_key(
-    entries: list[tuple[int, float]], exact: bool
-) -> list[tuple[int, float]]:
-    if exact:
-        return entries
-    return [(obj, round(d, 9)) for obj, d in entries]
 
 
 def run_subscription_replay(
@@ -140,9 +134,9 @@ def run_subscription_replay(
                 # the savings claim is about steady state
                 dirty_fractions.append(res_inc.dirty_fraction)
             for sub_id in range(num_subs):
-                a = _entries_key(inc.entries_of(sub_id), exact)
-                b = _entries_key(full.entries_of(sub_id), exact)
-                if a != b:
+                if not same_answer(
+                    inc.entries_of(sub_id), full.entries_of(sub_id), exact
+                ):
                     mismatches.append((tick, sub_id))
     finally:
         for backend in backends:

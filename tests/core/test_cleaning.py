@@ -191,23 +191,45 @@ def test_gpu_transfer_accounted(medium_graph):
 
 
 # ----------------------------------------------------------------------
-# host dedup: scalar loop vs columnar lexsort equivalence
+# host dedup: the first message with the max (t, removal-loses-ties) wins
 # ----------------------------------------------------------------------
-def _dedup_both(live_pairs):
-    """Run _dedup_host through both code paths on the same input."""
-    import pytest
-
-    import repro.core.cleaning as cleaning_mod
+def _dedup(live_pairs):
     from repro.core.cleaning import CleaningResult, MessageCleaner
     from repro.simgpu.device import SimGpu
 
     cleaner = MessageCleaner(SimGpu(), GGridConfig())
-    out = []
-    for scalar_max in (10**9, 0):  # force scalar, then force columnar
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cleaning_mod, "_HOST_DEDUP_SCALAR_MAX", scalar_max)
-            out.append(cleaner._dedup_host(list(live_pairs), CleaningResult()))
-    return out
+    return cleaner._dedup_host(list(live_pairs), CleaningResult())
+
+
+def _expected_dedup(live_pairs):
+    """The rule, stated directly: per object the first message carrying
+    the max ``(t, flag)`` key (removal flag 0 loses ties), objects in
+    first-occurrence order."""
+    rows = [(cell, m) for cell, bucket in live_pairs for m in bucket.messages]
+    order = list(dict.fromkeys(m.obj for _, m in rows))
+    expected = {}
+    for obj in order:
+        mine = [(cell, m) for cell, m in rows if m.obj == obj]
+        best = max((m.t, 0 if m.is_removal else 1) for _, m in mine)
+        cell, m = next(
+            (cell, m)
+            for cell, m in mine
+            if (m.t, 0 if m.is_removal else 1) == best
+        )
+        expected[obj] = (cell, m)
+    return expected
+
+
+def _assert_dedup_rule(live_pairs):
+    got = _dedup(live_pairs)
+    expected = _expected_dedup(live_pairs)
+    assert list(got) == list(expected)  # first-occurrence order
+    for obj, (cell, m) in expected.items():
+        won = got[obj]
+        assert won.cell == cell
+        assert (won.edge, won.offset, won.t) == (m.edge, m.offset, m.t)
+        assert won.is_removal == m.is_removal
+    return got
 
 
 def _bucketize(messages, cells, capacity=4):
@@ -221,10 +243,10 @@ def _bucketize(messages, cells, capacity=4):
     return pairs
 
 
-def test_host_dedup_columnar_matches_scalar_adversarial():
-    """Timestamp ties, removal markers and cross-bucket repeats must pick
-    the same winner (first message carrying the max (t, flag) key) and
-    produce the same dict insertion order on both paths."""
+def test_host_dedup_first_max_key_wins_adversarial():
+    """Timestamp ties, removal markers and cross-bucket repeats: the
+    first message carrying the max (t, flag) key wins, and the result
+    keeps objects in first-occurrence order."""
     msgs = [
         Message(1, 0, 0.1, 5.0),
         Message(2, None, None, 5.0),  # marker: loses the t=5.0 tie below
@@ -236,17 +258,21 @@ def test_host_dedup_columnar_matches_scalar_adversarial():
         Message(4, 7, 0.7, 2.0),
     ]
     live_pairs = _bucketize(msgs, cells=[11, 22, 33], capacity=3)
-    scalar, columnar = _dedup_both(live_pairs)
-    assert columnar == scalar
-    assert list(columnar) == list(scalar)  # insertion order too
-    assert scalar[1].offset == 0.1 and scalar[1].cell == 11
-    assert scalar[2].is_removal
-    assert scalar[3].offset == 0.5
+    got = _assert_dedup_rule(live_pairs)
+    assert list(got) == [1, 2, 3, 4]
+    assert got[1].offset == 0.1 and got[1].cell == 11
+    assert got[2].is_removal and got[2].t == 6.0
+    assert got[3].offset == 0.5
+    assert got[4].cell == 33
+
+
+def test_host_dedup_empty_input():
+    assert _dedup([]) == {}
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
-def test_host_dedup_columnar_matches_scalar_property(seed):
+def test_host_dedup_first_max_key_wins_property(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 120)
     msgs = []
@@ -259,6 +285,4 @@ def test_host_dedup_columnar_matches_scalar_property(seed):
             msgs.append(Message(obj, rng.randrange(20), rng.random(), t))
     cells = [rng.randrange(50) for _ in range(4)]
     live_pairs = _bucketize(msgs, cells, capacity=rng.randrange(1, 7))
-    scalar, columnar = _dedup_both(live_pairs)
-    assert columnar == scalar
-    assert list(columnar) == list(scalar)
+    _assert_dedup_rule(live_pairs)

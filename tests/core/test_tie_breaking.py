@@ -15,7 +15,13 @@ import random
 from repro.config import GGridConfig
 from repro.core import GGridIndex
 from repro.core.messages import Message
-from repro.core.ordering import rank_results, result_sort_key
+from repro.core.knn import KnnAnswer, KnnResultEntry
+from repro.core.ordering import (
+    answer_mismatches,
+    rank_results,
+    result_sort_key,
+    same_answer,
+)
 from repro.core.sdist import first_k_kernel
 from repro.roadnet.generators import grid_road_network
 from repro.roadnet.location import NetworkLocation
@@ -51,6 +57,28 @@ def test_rank_results_is_insertion_order_independent():
 
 # ----------------------------------------------------------------------
 # the kernel
+def test_same_answer_oracle_rule_and_exact_mode():
+    """9-decimal distances, tie groups as id sets; ``exact`` is byte
+    identity."""
+    base = [(1, 1.0), (2, 2.0), (3, 2.0)]
+    drift = [(1, 1.0 + 1e-12), (3, 2.0), (2, 2.0)]  # ulp drift + tie swap
+    assert same_answer(drift, base)
+    assert not same_answer(drift, base, exact=True)
+    assert same_answer(base, list(base), exact=True)
+    assert not same_answer([(1, 1.0), (2, 2.0), (4, 2.0)], base)  # other id
+    assert not same_answer([(1, 1.0), (9, 2.0)], [(1, 1.0), (2, 2.0)])
+    assert not same_answer(base[:2], base)  # shorter answer
+    answer = KnnAnswer(entries=[KnnResultEntry(o, d) for o, d in base])
+    assert same_answer(answer, base, exact=True)
+
+
+def test_answer_mismatches_counts_a_length_difference():
+    a = [[(1, 1.0)], [(2, 2.0)]]
+    b = [[(1, 1.0)], [(3, 2.0)], [(4, 4.0)]]
+    assert answer_mismatches(a, b) == [1, 2]
+    assert answer_mismatches(a, a) == []
+
+
 # ----------------------------------------------------------------------
 def test_first_k_kernel_breaks_ties_by_id():
     distances = {9: 1.5, 2: 1.5, 7: 0.5, 4: 1.5, 11: 2.5}
