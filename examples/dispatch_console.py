@@ -22,7 +22,7 @@ from pathlib import Path
 from repro import GGridIndex, NetworkLocation
 from repro.core.diagnostics import snapshot
 from repro.mobility import MotoGenerator, random_locations
-from repro.persistence import load_index, save_index
+from repro.persist import load_index, save_index
 from repro.server.maintenance import BacklogCleaning
 
 FLEET = 150

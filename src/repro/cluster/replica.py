@@ -28,7 +28,7 @@ from repro.core.ggrid import GGridIndex
 from repro.core.graph_grid import GraphGrid
 from repro.core.messages import Message
 from repro.errors import ClusterError
-from repro.persist.wal import OP_INGEST, OP_REMOVE, WalRecord, read_wal
+from repro.persist.wal import WalRecord, read_wal
 from repro.roadnet.graph import RoadNetwork
 
 
@@ -71,15 +71,11 @@ class Replica:
     # ------------------------------------------------------------------
     def ship_ingest(self, lsn: int, message: Message) -> None:
         """Ship one logged location update (LSN from the primary's WAL)."""
-        self._ship(
-            WalRecord(
-                lsn, OP_INGEST, message.obj, message.edge, message.offset, message.t
-            )
-        )
+        self._ship(WalRecord.ingest(lsn, message))
 
     def ship_remove(self, lsn: int, obj: int, t: float) -> None:
         """Ship one logged object removal."""
-        self._ship(WalRecord(lsn, OP_REMOVE, obj, None, None, t))
+        self._ship(WalRecord.remove(lsn, obj, t))
 
     def _ship(self, record: WalRecord) -> None:
         if record.lsn <= self.applied_lsn or (
@@ -98,19 +94,11 @@ class Replica:
         """Apply every buffered record to the standby, in LSN order."""
         applied = 0
         for record in self._buffer:
-            self._apply(record)
+            record.apply(self.index)
             self.applied_lsn = record.lsn
             applied += 1
         self._buffer.clear()
         return applied
-
-    def _apply(self, record: WalRecord) -> None:
-        if record.op == OP_INGEST:
-            self.index.ingest(record.to_message())
-        elif record.op == OP_REMOVE:
-            self.index.remove_object(record.obj, record.t)
-        else:
-            raise ClusterError(f"unknown WAL op {record.op!r}")
 
     # ------------------------------------------------------------------
     # failover
@@ -122,17 +110,22 @@ class Replica:
         authoritative record of what the dead primary acknowledged, and
         re-reading from ``applied_lsn`` replays exactly the buffered
         window (plus anything shipped after the failure was detected)
-        without double-applying.
+        without double-applying.  A fresh replica (``applied_lsn == 0``)
+        promoted this way replays the whole log — the no-standby
+        failover path.
 
         Returns:
             The caught-up index and the number of records replayed.
+
+        Raises:
+            PersistenceError: a log record carries an unknown op.
         """
         self._buffer.clear()
         caught_up = 0
         for record in read_wal(wal_directory).records:
             if record.lsn <= self.applied_lsn:
                 continue
-            self._apply(record)
+            record.apply(self.index)
             self.applied_lsn = record.lsn
             caught_up += 1
         return self.index, caught_up

@@ -62,7 +62,6 @@ from repro.obs.metrics import RateLimitedWarner, linear_buckets
 from repro.obs.slo import SloTracker, classify_fanout
 from repro.persist.manager import DurabilityManager
 from repro.persist.recovery import WAL_SUBDIR
-from repro.persist.wal import OP_INGEST, OP_REMOVE, read_wal
 from repro.resilience import RUNGS
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
@@ -133,8 +132,6 @@ class Shard:
 
     shard_id: int
     server: QueryServer
-    manager: DurabilityManager
-    directory: Path
     replica: Replica | None = None
     #: failovers this shard id has survived
     promotions: int = 0
@@ -142,6 +139,14 @@ class Shard:
     @property
     def index(self) -> GGridIndex:
         return self.server.index
+
+    @property
+    def manager(self) -> DurabilityManager:
+        return self.server.durability
+
+    @property
+    def directory(self) -> Path:
+        return self.manager.directory
 
 
 class ShardRouter:
@@ -251,28 +256,37 @@ class ShardRouter:
     def num_shards(self) -> int:
         return self.shard_map.num_shards
 
-    def _make_shard(self, sid: int) -> Shard:
-        directory = self.directory / f"shard-{sid:03d}"
-        index = GGridIndex(self.graph, self.config, grid=self.grid)
-        manager = DurabilityManager(directory, obs=self.obs)
+    def _make_server(self, index: GGridIndex, directory: Path) -> QueryServer:
+        """A shard-internal server over ``index``, logging to ``directory``.
+
+        It gets a fresh planner from the factory (a TEN foil bootstraps
+        from the index's object table inside ``attach()``), the router's
+        current brownout state, and ``publish_slo=False``: the router
+        scores the merged logical query, never a probe fragment.
+        """
+        index.brownout = self._brownout
         server = QueryServer(
             index,
             timing=self.timing,
             obs=self.obs,
             batch=self.batch,
-            durability=manager,
+            durability=DurabilityManager(directory, obs=self.obs),
             publish_slo=False,
             planner=self.planner_factory() if self.planner_factory else None,
         )
-        index.brownout = self._brownout
         if server.planner is not None:
             server.planner.set_brownout(self._brownout)
+        return server
+
+    def _make_shard(self, sid: int) -> Shard:
+        index = GGridIndex(self.graph, self.config, grid=self.grid)
+        server = self._make_server(index, self.directory / f"shard-{sid:03d}")
         replica = (
             Replica(sid, self.graph, self.config, self.grid, self.ship_every)
             if self.replicas_enabled
             else None
         )
-        return Shard(sid, server, manager, directory, replica)
+        return Shard(sid, server, replica)
 
     def set_brownout(self, active: bool) -> None:
         """Trip (or clear) brownout serving on every shard.
@@ -709,14 +723,10 @@ class ShardRouter:
             if shard.replica is not None:
                 index, caught_up = shard.replica.promote(wal_dir)
                 return index, caught_up, FAILOVER_REPLICA
-            index = GGridIndex(self.graph, self.config, grid=self.grid)
-            records = read_wal(wal_dir).records
-            for record in records:
-                if record.op == OP_INGEST:
-                    index.ingest(record.to_message())
-                elif record.op == OP_REMOVE:
-                    index.remove_object(record.obj, record.t)
-            return index, len(records), FAILOVER_WAL
+            # no standby: a fresh one catches up from the whole log
+            standby = Replica(sid, self.graph, self.config, self.grid)
+            index, caught_up = standby.promote(wal_dir)
+            return index, caught_up, FAILOVER_WAL
 
         if tracer is not None:
             with tracer.activate(), tracer.span("failover", {"shard": sid}) as sp:
@@ -725,27 +735,9 @@ class ShardRouter:
                 sp.set_attr("caught_up", caught_up)
         else:
             index, caught_up, mode = promote()
-        index.brownout = self._brownout
-        manager = DurabilityManager(shard.directory, obs=self.obs)
-        server = QueryServer(
-            index,
-            timing=self.timing,
-            obs=self.obs,
-            batch=self.batch,
-            durability=manager,
-            publish_slo=False,
-            # a fresh planner: its TEN foil bootstraps from the promoted
-            # index's object table inside attach()
-            planner=self.planner_factory() if self.planner_factory else None,
-        )
-        if server.planner is not None:
-            server.planner.set_brownout(self._brownout)
         self.shards[sid] = Shard(
             sid,
-            server,
-            manager,
-            shard.directory,
-            replica=None,
+            self._make_server(index, shard.directory),
             promotions=shard.promotions + 1,
         )
         if self._inst is not None:

@@ -8,7 +8,12 @@ The serving-path contract:
   snapshots (:class:`SnapshotStore`) carrying a WAL watermark;
 * after a crash, :func:`recover` loads the newest valid snapshot that
   the surviving log supports and replays the WAL records past its
-  watermark, tolerating a torn tail.
+  watermark, tolerating a torn tail;
+* :func:`save_index` / :func:`load_index` write and read one snapshot
+  file outside any durability directory, in the same envelope format.
+
+Recovery, standby replicas (:class:`repro.cluster.replica.Replica`) and
+WAL failover all apply log records through :meth:`WalRecord.apply`.
 
 For any byte-level truncation of the log, the recovered index answers
 queries byte-identically to a fresh index fed the same surviving prefix
@@ -17,7 +22,15 @@ of updates — the conformance suite in ``tests/persist`` enforces this.
 
 from repro.persist.manager import DurabilityManager, SnapshotPolicy
 from repro.persist.recovery import RecoveryReport, recover
-from repro.persist.snapshot import LoadedSnapshot, SnapshotStore
+from repro.persist.snapshot import (
+    SNAPSHOT_VERSION,
+    LoadedSnapshot,
+    SnapshotStore,
+    index_from_state,
+    index_state,
+    load_index,
+    save_index,
+)
 from repro.persist.wal import (
     WalAppend,
     WalReadResult,
@@ -32,8 +45,13 @@ __all__ = [
     "SnapshotPolicy",
     "RecoveryReport",
     "recover",
+    "SNAPSHOT_VERSION",
     "LoadedSnapshot",
     "SnapshotStore",
+    "index_from_state",
+    "index_state",
+    "load_index",
+    "save_index",
     "WalAppend",
     "WalReadResult",
     "WalRecord",

@@ -30,9 +30,8 @@ from repro.core.ggrid import GGridIndex
 from repro.errors import PersistenceError, ReproError
 from repro.obs.hub import Observability, default_observability
 from repro.obs.metrics import log_scale_buckets
-from repro.persistence import index_from_state
-from repro.persist.snapshot import SnapshotStore
-from repro.persist.wal import OP_INGEST, OP_REMOVE, read_wal
+from repro.persist.snapshot import SnapshotStore, index_from_state
+from repro.persist.wal import read_wal
 from repro.roadnet.graph import RoadNetwork
 
 WAL_SUBDIR = "wal"
@@ -111,18 +110,12 @@ def recover(
                 report.records_skipped += 1
                 continue
             try:
-                if record.op == OP_INGEST:
-                    index.ingest(record.to_message())
-                elif record.op == OP_REMOVE:
-                    index.remove_object(record.obj, record.t)
-                else:
-                    raise PersistenceError(
-                        f"unknown WAL op {record.op!r} at lsn={record.lsn}"
-                    )
+                record.apply(index)
             except ReproError as exc:
                 # a record the live index also rejected (e.g. capacity
-                # pressure under a chaos cap): count it and keep going —
-                # losing the rest of the log over it would be worse
+                # pressure under a chaos cap) or one with an unknown op:
+                # count it and keep going — losing the rest of the log
+                # over it would be worse
                 report.records_failed += 1
                 report.failures.append(f"lsn={record.lsn}: {exc}")
                 continue

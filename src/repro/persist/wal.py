@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+from repro.core.ggrid import GGridIndex
 from repro.core.messages import Message
 from repro.errors import PersistenceError
 from repro.obs.metrics import MetricsRegistry
@@ -67,11 +68,37 @@ class WalRecord:
     offset: float | None
     t: float
 
+    @classmethod
+    def ingest(cls, lsn: int, message: Message) -> "WalRecord":
+        """The record logging one location update."""
+        return cls(
+            lsn, OP_INGEST, message.obj, message.edge, message.offset, message.t
+        )
+
+    @classmethod
+    def remove(cls, lsn: int, obj: int, t: float) -> "WalRecord":
+        """The record logging one object removal."""
+        return cls(lsn, OP_REMOVE, obj, None, None, t)
+
     def to_message(self) -> Message:
         """The :class:`Message` an ``ingest`` record replays as."""
         if self.op != OP_INGEST:
             raise PersistenceError(f"record lsn={self.lsn} is not an ingest")
         return Message(self.obj, self.edge, self.offset, self.t)
+
+    def apply(self, index: GGridIndex) -> None:
+        """Replay this record on ``index`` — the one interpreter of WAL
+        ops, shared by recovery, standby replicas and WAL failover.
+
+        Raises:
+            PersistenceError: the record carries an unknown op.
+        """
+        if self.op == OP_INGEST:
+            index.ingest(self.to_message())
+        elif self.op == OP_REMOVE:
+            index.remove_object(self.obj, self.t)
+        else:
+            raise PersistenceError(f"unknown WAL op {self.op!r} at lsn={self.lsn}")
 
     def encode(self) -> bytes:
         payload = json.dumps(
@@ -310,20 +337,11 @@ class WriteAheadLog:
 
     def append_ingest(self, message: Message) -> WalAppend:
         """Log one location update (Algorithm 1's input message)."""
-        return self._append(
-            WalRecord(
-                self.next_lsn,
-                OP_INGEST,
-                message.obj,
-                message.edge,
-                message.offset,
-                message.t,
-            )
-        )
+        return self._append(WalRecord.ingest(self.next_lsn, message))
 
     def append_remove(self, obj: int, t: float) -> WalAppend:
         """Log one object deregistration."""
-        return self._append(WalRecord(self.next_lsn, OP_REMOVE, obj, None, None, t))
+        return self._append(WalRecord.remove(self.next_lsn, obj, t))
 
     def _append(self, record: WalRecord) -> WalAppend:
         if self._fh is None:

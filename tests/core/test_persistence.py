@@ -1,6 +1,6 @@
-"""Unit tests for index snapshots and object removal."""
+"""Unit tests for object removal and contract expiry (snapshot tests
+live in ``tests/persist/test_snapshot.py``)."""
 
-import json
 import random
 
 import pytest
@@ -8,8 +8,7 @@ import pytest
 from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
 from repro.core.messages import Message
-from repro.errors import ReproError, UnknownObjectError
-from repro.persistence import config_to_dict, load_index, save_index
+from repro.errors import UnknownObjectError
 from repro.roadnet.location import NetworkLocation
 
 
@@ -20,88 +19,6 @@ def _populated(graph, seed=4):
         e = rng.randrange(graph.num_edges)
         index.ingest(Message(obj, e, rng.uniform(0, graph.edge(e).weight), 1.0))
     return index
-
-
-def test_snapshot_roundtrip(medium_graph, tmp_path):
-    index = _populated(medium_graph)
-    path = save_index(index, tmp_path / "snap.json")
-    restored = load_index(path)
-    assert restored.num_objects == index.num_objects
-    assert restored.config.rho == 2.5
-    assert restored.graph.num_edges == medium_graph.num_edges
-    for obj, entry in index.object_table.objects().items():
-        got = restored.object_table.get(obj)
-        assert (got.edge, got.offset, got.t) == (entry.edge, entry.offset, entry.t)
-
-
-def test_restored_index_answers_identically(medium_graph, tmp_path):
-    index = _populated(medium_graph)
-    restored = load_index(save_index(index, tmp_path / "snap.json"))
-    q = NetworkLocation(0, 0.1)
-    a = index.knn(q, 5, t_now=2.0).distances()
-    b = restored.knn(q, 5, t_now=2.0).distances()
-    assert [round(x, 9) for x in a] == [round(x, 9) for x in b]
-
-
-def test_version_mismatch_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 999}))
-    with pytest.raises(ReproError):
-        load_index(path)
-
-
-def test_malformed_snapshot_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 1, "graph": {}}))
-    with pytest.raises(ReproError):
-        load_index(path)
-
-
-def test_config_to_dict_subset():
-    d = config_to_dict(GGridConfig(delta_b=64))
-    assert d["delta_b"] == 64
-    assert "gpu" not in d  # the cost model is environment, not state
-
-
-def test_restore_preserves_chronology_with_reversed_ids(medium_graph, tmp_path):
-    """Regression: ``load_index`` used to re-ingest the object table
-    sorted by object id.  With ids descending while timestamps ascend,
-    the replayed lists were anti-chronological, so ``Bucket.t`` (when it
-    was last-message) claimed buckets holding fresh messages were stale
-    and the first cleaning silently expired live objects."""
-    index = GGridIndex(medium_graph, GGridConfig(eta=3, delta_b=4, t_delta=10.0))
-    for i in range(8):
-        # object ids descend (8..1) while time ascends (1..8)
-        index.ingest(Message(8 - i, 0, 0.1 * i, 1.0 + i))
-    restored = load_index(save_index(index, tmp_path / "snap.json"))
-
-    cell = restored.grid.cell_of_edge(0)
-    times = [m.t for m in restored.lists[cell].messages()]
-    assert times == sorted(times)  # chronological invariant survives
-
-    # t_now=12: objects with t >= 2 are within contract; a clean must
-    # keep them (the old replay dropped everything in "stale" buckets)
-    restored.clean_cells({cell}, t_now=12.0)
-    for obj in range(1, 8):  # t = 2..8, all live
-        assert obj in restored.object_table
-    answer = restored.knn(NetworkLocation(0, 0.0), k=7, t_now=12.0)
-    assert sorted(answer.objects()) == list(range(1, 8))
-
-
-def test_restore_preserves_pending_backlog(medium_graph, tmp_path):
-    """The snapshot persists the compacted message state: backlogs (and
-    removal markers) survive a save/load byte-for-byte, so recovery does
-    not owe a re-cleaning of updates that were already cached."""
-    index = _populated(medium_graph)
-    index.ingest(Message(0, 1, 0.0, 2.0))  # cross-cell move: removal marker
-    restored = load_index(save_index(index, tmp_path / "snap.json"))
-    assert restored.pending_messages() == index.pending_messages()
-    for cell, mlist in index.lists.items():
-        got = restored.lists[cell].messages()
-        want = mlist.messages()
-        assert [(m.obj, m.edge, m.offset, m.t) for m in got] == [
-            (m.obj, m.edge, m.offset, m.t) for m in want
-        ]
 
 
 def test_remove_object(medium_graph):

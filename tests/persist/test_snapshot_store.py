@@ -10,7 +10,7 @@ from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
 from repro.core.messages import Message
 from repro.errors import PersistenceError
-from repro.persist.snapshot import SnapshotStore, _canonical
+from repro.persist.snapshot import SNAPSHOT_VERSION, SnapshotStore, _canonical
 
 pytestmark = pytest.mark.persist
 
@@ -30,7 +30,7 @@ def test_write_load_roundtrip(medium_graph, tmp_path):
     path = store.write(index, watermark=12)
     loaded = store.load(path)
     assert loaded.watermark == 12
-    assert loaded.body["version"] == 2
+    assert loaded.body["version"] == SNAPSHOT_VERSION
     assert len(loaded.body["objects"]) == 12
 
 

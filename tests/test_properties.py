@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
 from repro.core.messages import Message
-from repro.persistence import load_index, save_index
+from repro.persist import load_index, save_index
 from repro.roadnet.generators import grid_road_network
 from repro.roadnet.location import NetworkLocation
 
