@@ -16,6 +16,14 @@ Given the message lists of the cells a query touches, cleaning
 
 The result — the up-to-date occupants of every cleaned cell — is what the
 kNN candidate phase consumes.
+
+An *idle* cell — its list unlocked and exactly one empty bucket, and no
+object-table entry in the cell — skips steps 1-4: that cycle would ship
+nothing and leave the list as it found it.  It still counts as cleaned
+(listed in :attr:`CleaningResult.cells`, with no occupants), so every
+cleaning counter and every modelled GPU counter is the same as if the
+cycle had run.  A never-appended list takes the full cycle once, which
+gives it its one empty bucket.
 """
 
 from __future__ import annotations
@@ -53,7 +61,9 @@ class CleaningResult:
     Attributes:
         occupants: per cleaned cell, the live objects and their latest
             locations (removal-marker-latest objects are excluded).
-        cells: the cells actually cleaned (locked lists are skipped).
+        cells: the cells actually cleaned (locked lists are skipped;
+            idle cells count as cleaned although their cycle is
+            skipped, see the module docstring).
         messages_processed: messages the GPU kernels consumed.
         buckets_shipped: buckets transferred to the device.
         messages_dropped: messages discarded as obsolete before transfer.
@@ -140,16 +150,19 @@ class MessageCleaner:
         for cell, mlist in lists.items():
             if mlist.locked:  # concurrent cleaning owns it: skip safely
                 continue
-            before = mlist.num_messages
+            # idle or not, the cell counts as cleaned, in list order
+            result.occupants[cell] = {}
+            result.cells.add(cell)
+            if mlist.drained and not object_table.occupied(cell):
+                # idle: a full pass would ship nothing and leave the list
+                # as it is (one empty bucket), so skip the cycle
+                continue
             mlist.lock_for_cleaning()
             locked[cell] = mlist
-            live = mlist.locked_buckets(t_now, config.t_delta)
-            shipped = 0
+            live, dropped = mlist.locked_buckets(t_now, config.t_delta)
             for bucket in live:
                 live_pairs.append((cell, bucket))
-                shipped += bucket.n
-            result.messages_dropped += before - shipped
-            result.cells.add(cell)
+            result.messages_dropped += dropped
         result.buckets_shipped = len(live_pairs)
 
         try:
@@ -168,8 +181,6 @@ class MessageCleaner:
 
         # -- step 4 (CPU side): build R, reconcile with the object table,
         #    and rewrite the cleaned lists as compacted snapshots --
-        for cell in locked:
-            result.occupants[cell] = {}
         # expire contract violators from the object table too: an object
         # whose last report predates t_now - t_delta was pruned from the
         # message lists above, and leaving it in the table would let the

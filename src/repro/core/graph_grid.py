@@ -98,6 +98,13 @@ class CellSlab:
         return base + int(self._grid.vert_pos_in_cell[vertex])
 
 
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices of the ranges ``[starts[i], starts[i] + counts[i])`` laid
+    end to end, gathered without a Python loop over the ranges."""
+    out_starts = np.cumsum(counts) - counts  # where each range begins
+    return np.repeat(starts - out_starts, counts) + np.arange(int(counts.sum()))
+
+
 class GraphGrid:
     """The assembled grid over a road network.
 
@@ -216,51 +223,31 @@ class GraphGrid:
 
         The slab's vertex order matches :meth:`vertices_of_cells`
         exactly; the kept edge records follow the (cell, vertex, in-edge)
-        order of the packed arrays.
+        order of the packed arrays.  Both are gathered in one shot: no
+        Python work per cell.
         """
-        zs = sorted(cells)
-        base = self._base_scratch
+        zs = np.asarray(sorted(cells), dtype=np.int64)
         vi = self._cell_vert_indptr
         ri = self._cell_rec_indptr
-        offset = 0
-        n_elements = 0
-        vert_parts: list[np.ndarray] = []
-        rec_slices: list[tuple[int, int, int]] = []  # (rec_start, rec_end, cell_base)
-        base_of_cell: dict[int, int] = {}
-        for z in zs:
-            base[z] = offset
-            base_of_cell[z] = offset
-            vert_parts.append(self._cell_vert_ids[vi[z] : vi[z + 1]])
-            rec_slices.append((int(ri[z]), int(ri[z + 1]), offset))
-            offset += int(vi[z + 1] - vi[z])
-            n_elements += int(self._cell_elem_counts[z])
-        vertex_ids = (
-            np.concatenate(vert_parts) if vert_parts else np.empty(0, np.int64)
-        )
-        n_recs = sum(end - start for start, end, _ in rec_slices)
-        src_cell = np.empty(n_recs, dtype=np.int64)
-        src_pos = np.empty(n_recs, dtype=np.int64)
-        tgt_local = np.empty(n_recs, dtype=np.int64)
-        weights = np.empty(n_recs, dtype=np.float64)
-        at = 0
-        for start, end, cell_base in rec_slices:
-            n = end - start
-            src_cell[at : at + n] = self._rec_src_cell[start:end]
-            src_pos[at : at + n] = self._rec_src_pos[start:end]
-            np.add(self._rec_tgt_pos[start:end], cell_base, out=tgt_local[at : at + n])
-            weights[at : at + n] = self._rec_weight[start:end]
-            at += n
-        src_base = base[src_cell]
-        keep = src_base >= 0  # drop records whose source is outside the slab
+        vert_counts = vi[zs + 1] - vi[zs]
+        bases = np.cumsum(vert_counts) - vert_counts  # slab offset per cell
+        rec_counts = ri[zs + 1] - ri[zs]
+        vert_idx = _concat_ranges(vi[zs], vert_counts)
+        rec_idx = _concat_ranges(ri[zs], rec_counts)
+        base = self._base_scratch
+        base[zs] = bases
+        src_base = base[self._rec_src_cell[rec_idx]]
         base[zs] = -1  # reset the scratch for the next pack
+        keep = src_base >= 0  # drop records whose source is outside the slab
+        tgt_local = self._rec_tgt_pos[rec_idx] + np.repeat(bases, rec_counts)
         return CellSlab(
             self,
-            vertex_ids,
-            (src_base + src_pos)[keep],
+            self._cell_vert_ids[vert_idx],
+            (src_base + self._rec_src_pos[rec_idx])[keep],
             tgt_local[keep],
-            weights[keep],
-            n_elements,
-            base_of_cell,
+            self._rec_weight[rec_idx][keep],
+            int(self._cell_elem_counts[zs].sum()),
+            dict(zip(zs.tolist(), bases.tolist())),
         )
 
     # ------------------------------------------------------------------
@@ -314,24 +301,16 @@ class GraphGrid:
         Vectorised over the packed arrays; the result keeps the
         :meth:`vertices_of_cells` ordering the per-vertex scan produced.
         """
-        zs = sorted(cells)
+        zs = np.asarray(sorted(cells), dtype=np.int64)
         vi = self._cell_vert_indptr
-        parts = [self._cell_vert_ids[vi[z] : vi[z + 1]] for z in zs]
-        if not parts:
-            return []
-        verts = np.concatenate(parts)
+        verts = self._cell_vert_ids[_concat_ranges(vi[zs], vi[zs + 1] - vi[zs])]
         if not len(verts):
             return []
         member = self._base_scratch  # reuse as a membership mark (-1 = out)
         member[zs] = 1
         starts = self._out_indptr[verts]
         counts = self._out_indptr[verts + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            member[zs] = -1
-            return []
-        cum = np.concatenate(([0], np.cumsum(counts)))
-        flat = np.repeat(starts - cum[:-1], counts) + np.arange(total)
+        flat = _concat_ranges(starts, counts)
         outside = member[self._out_dest_cell[flat]] < 0
         seg = np.repeat(np.arange(len(verts)), counts)
         out_counts = np.bincount(seg, weights=outside, minlength=len(verts))

@@ -173,21 +173,28 @@ class MessageList:
             self._tail = fresh
         self._lock = fresh
 
-    def locked_buckets(self, t_now: float, t_delta: float) -> list[Bucket]:
-        """The live locked buckets to ship to the GPU.
+    def locked_buckets(
+        self, t_now: float, t_delta: float
+    ) -> tuple[list[Bucket], int]:
+        """The live locked buckets to ship to the GPU, and the number of
+        frozen messages left behind as obsolete.
 
         Buckets whose latest message is older than ``t_now - t_delta`` are
         wholly obsolete (every object must update at least once per
         ``t_delta``) and are skipped — the paper discards them outright.
+        One walk over the frozen region yields both.
         """
         cutoff = t_now - t_delta
-        result = []
+        live = []
+        dropped = 0
         node = self._head
         while node is not None and node is not self._lock:
             if node.t >= cutoff and node.n > 0:
-                result.append(node)
+                live.append(node)
+            else:
+                dropped += node.n
             node = node.next
-        return result
+        return live, dropped
 
     def unlock_abort(self) -> None:
         """Abandon a cleaning pass without consuming anything.
@@ -283,6 +290,16 @@ class MessageList:
         while node is not None:
             yield node
             node = node.next
+
+    @property
+    def drained(self) -> bool:
+        """True when the list is exactly one empty bucket — the state a
+        cleaning pass leaves behind when it finds no live message.  O(1).
+
+        Locking is a separate question: see :attr:`locked`.
+        """
+        head = self._head
+        return head is not None and head is self._tail and not head.messages
 
     @property
     def num_buckets(self) -> int:

@@ -117,6 +117,11 @@ class ObjectTable:
         """
         return self._cell_objects.get(cell, _EMPTY)  # type: ignore[return-value]
 
+    def occupied(self, cell: int) -> bool:
+        """True when some object's latest location lies in ``cell``.  O(1):
+        drained per-cell sets are pruned, so presence means non-empty."""
+        return cell in self._cell_objects
+
     def cell_columns(self, cell: int) -> CellColumns | None:
         """The cell's objects as numpy columns, or ``None`` when empty.
 

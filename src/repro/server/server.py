@@ -290,7 +290,10 @@ class QueryServer:
     def update(self, message: Message, report: ReplayReport) -> None:
         """Ingest one update, charging its cost to the report."""
         gpu = self._gpu
-        before = gpu.stats.snapshot() if gpu else None
+        if gpu:
+            # three floats, not a stats snapshot: this runs per update
+            st = gpu.stats
+            before = (st.kernel_time_s, st.transfer_time_s, st.pipelined_saved_s)
         touches_before = getattr(self.index, "update_touches", 0)
         bp_before = getattr(self.index, "backpressure_cleanings", 0)
         backoff_before = getattr(self.index, "resilience_backoff_s", 0.0)
@@ -325,8 +328,12 @@ class QueryServer:
         report.updates_backpressured += backpressured
         report.update_backoff_s += backoff_s
         gpu_s = 0.0
-        if gpu and before is not None:
-            gpu_s = gpu.stats.diff(before).gpu_time_s
+        if gpu:
+            # the same sum, in the same order, as diff(before).gpu_time_s
+            st = gpu.stats
+            gpu_s = (
+                (st.kernel_time_s - before[0]) + (st.transfer_time_s - before[1])
+            ) - (st.pipelined_saved_s - before[2])
             report.update_gpu_s += gpu_s
         report.n_updates += 1
         inst = self._inst

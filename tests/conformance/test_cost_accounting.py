@@ -17,6 +17,7 @@ import pytest
 
 from repro.config import GGridConfig
 from repro.core import BatchExecStats, GGridIndex
+from repro.core.message_list import MessageList
 from repro.core.messages import Message
 from repro.roadnet.generators import grid_road_network
 from repro.simgpu.trace import GpuTrace
@@ -132,6 +133,53 @@ def test_single_query_counters_are_pinned():
     }
     assert index.cleaner.cells_cleaned_total == 131
     assert index.cleaner.cleanings_total == 24
+
+
+def test_sparse_stream_counters_are_pinned(monkeypatch):
+    """A sparse stream (6 objects, rings of mostly empty cells) costs the
+    counters recorded before idle cells skipped their cleaning cycle:
+    an idle cell still counts as cleaned and moves no modelled counter.
+    Over half of the cleaned cells here are idle (never locked)."""
+    locks = 0
+    lock = MessageList.lock_for_cleaning
+
+    def counting_lock(self):
+        nonlocal locks
+        locks += 1
+        lock(self)
+
+    monkeypatch.setattr(MessageList, "lock_for_cleaning", counting_lock)
+    index = _loaded_index(n_objects=6)
+    rng = random.Random(21)
+    objects = []
+    for step in range(12):
+        t = 2.0 + step
+        for _ in range(2):
+            loc = random_location(_GRAPH, rng)
+            index.ingest(Message(rng.randrange(6), loc.edge_id, loc.offset, t))
+        loc = random_location(_GRAPH, rng)
+        objects.append(index.knn(loc, rng.choice((2, 4))).objects())
+
+    assert objects[:3] == [[5, 1], [3, 1], [2, 5]]
+    assert index.stats.as_dict() == {
+        "kernel_launches": 130,
+        "batched_launches": 0,
+        "batched_jobs": 0,
+        "lane_ops": 76742,
+        "shuffle_ops": 345,
+        "sync_count": 208,
+        "atomic_ops": 99,
+        "bytes_h2d": 11808,
+        "bytes_d2h": 2236,
+        "transfers_h2d": 48,
+        "transfers_d2h": 59,
+        "kernel_time_s": 0.0007381670000000022,
+        "transfer_time_s": 0.001071170333333334,
+        "pipelined_saved_s": 0.0,
+    }
+    assert index.cleaner.cells_cleaned_total == 567
+    assert index.cleaner.cleanings_total == 76
+    assert 2 * locks < index.cleaner.cells_cleaned_total
 
 
 def test_fused_launch_accounting():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
 from repro.core.messages import Message
+from repro.core.object_table import ObjectEntry
 from repro.roadnet.generators import grid_road_network
 
 
@@ -157,6 +158,86 @@ def test_empty_cells_clean_to_empty(medium_graph):
     result = index.clean_cells({0, 1, 2}, t_now=1.0)
     assert result.messages_processed == 0
     assert all(not objs for objs in result.occupants.values())
+
+
+# ----------------------------------------------------------------------
+# idle cells: an unlocked one-empty-bucket list with no object-table entry
+# ----------------------------------------------------------------------
+def _departed_cell(graph):
+    """An index whose only object moved out of cell ``c1``, and ``c1``."""
+    index = _index(graph)
+    grid = index.grid
+    e1 = 0
+    e2 = next(
+        e.id for e in graph.edges() if grid.cell_of_edge(e.id) != grid.cell_of_edge(e1)
+    )
+    index.ingest(Message(5, e1, 0.1, 1.0))
+    index.ingest(Message(5, e2, 0.3, 2.0))
+    return index, grid.cell_of_edge(e1)
+
+
+def _list_state(mlist):
+    return mlist.num_buckets, mlist.size_bytes(), mlist.messages()
+
+
+def test_departed_cell_becomes_idle(medium_graph):
+    index, c1 = _departed_cell(medium_graph)
+    index.clean_cells({c1}, t_now=3.0)  # drops the removal marker
+    mlist = index.lists[c1]
+    assert mlist.drained and not mlist.locked
+    assert not index.object_table.occupied(c1)
+
+    state = _list_state(mlist)
+    head = next(mlist.buckets())
+    stats = index.stats.as_dict()
+    cells_before = index.cleaner.cells_cleaned_total
+    result = index.clean_cells({c1}, t_now=4.0)
+    assert result.cells == {c1}
+    assert result.occupants == {c1: {}}
+    assert index.cleaner.cells_cleaned_total == cells_before + 1
+    assert _list_state(mlist) == state
+    assert next(mlist.buckets()) is head  # no lock/release cycle ran
+    assert index.stats.as_dict() == stats
+
+
+def test_never_appended_cell_takes_full_path_once(medium_graph):
+    index = _index(medium_graph)
+    index.clean_cells({3}, t_now=1.0)
+    mlist = index.lists[3]
+    assert mlist.num_buckets == 1  # the full pass made the empty bucket
+    assert mlist.drained
+    head = next(mlist.buckets())
+    result = index.clean_cells({3}, t_now=2.0)
+    assert result.cells == {3}
+    assert next(mlist.buckets()) is head  # idle from now on
+    assert index.cleaner.cells_cleaned_total == 2
+
+
+def test_cell_with_object_entry_is_never_idle(medium_graph):
+    index, c1 = _departed_cell(medium_graph)
+    index.clean_cells({c1}, t_now=3.0)
+    mlist = index.lists[c1]
+    # an object-table entry in the cell without a message in its list
+    index.object_table.put(7, ObjectEntry(c1, 0, 0.2, 2.5))
+    assert mlist.drained and index.object_table.occupied(c1)
+    head = next(mlist.buckets())
+    result = index.clean_cells({c1}, t_now=4.0)
+    assert result.cells == {c1}
+    assert next(mlist.buckets()) is not head  # the full cycle ran
+    assert 7 in index.object_table  # fresh: reconciled, not expired
+
+
+def test_locked_idle_list_skipped(medium_graph):
+    index, c1 = _departed_cell(medium_graph)
+    index.clean_cells({c1}, t_now=3.0)
+    mlist = index.lists[c1]
+    mlist.lock_for_cleaning()  # simulate a concurrent cleaner
+    cells_before = index.cleaner.cells_cleaned_total
+    result = index.clean_cells({c1}, t_now=4.0)
+    assert c1 not in result.cells
+    assert c1 not in result.occupants
+    assert index.cleaner.cells_cleaned_total == cells_before
+    assert mlist.locked
 
 
 @settings(max_examples=10, deadline=None)

@@ -156,7 +156,7 @@ def test_unlock_abort_restores_buckets():
     assert lst.num_messages == 5  # everything still there
     # a subsequent normal cycle works
     lst.lock_for_cleaning()
-    frozen = sum(b.n for b in lst.locked_buckets(100.0, 1e9))
+    frozen = sum(b.n for b in lst.locked_buckets(100.0, 1e9)[0])
     assert frozen == 5
     lst.release_cleaned()
     assert lst.num_messages == 0

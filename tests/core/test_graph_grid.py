@@ -1,11 +1,16 @@
 """Unit tests for the graph grid structure (Section III-A)."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import GGridConfig
 from repro.core.graph_grid import GraphGrid
 from repro.errors import UnknownEdgeError
 from repro.roadnet.graph import RoadNetwork
+
+from tests.core.pack_oracle import pack_reference
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +127,49 @@ def test_vertices_and_element_counts_of_cells(grid):
     assert slab.vertex_ids.tolist() == vertices
     assert len(slab) == sum(int(grid._cell_elem_counts[z]) for z in cells)
     assert len(slab) >= len(vertices)  # every vertex owns at least one element
+
+
+@pytest.fixture(scope="module")
+def grids_by_delta_v(small_graph):
+    return {dv: GraphGrid.build(small_graph, GGridConfig(delta_v=dv)) for dv in (1, 2)}
+
+
+_ALL_CELLS = frozenset(range(64))  # the 8x8 lattice lays out 64 cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(delta_v=st.sampled_from((1, 2)), cells=st.sets(st.integers(0, 63)))
+@example(delta_v=1, cells=set())
+@example(delta_v=2, cells={17})
+@example(delta_v=1, cells=set(_ALL_CELLS))
+@example(delta_v=2, cells=set(_ALL_CELLS))
+def test_pack_matches_per_cell_reference(grids_by_delta_v, delta_v, cells):
+    grid = grids_by_delta_v[delta_v]
+    assert grid.num_cells == len(_ALL_CELLS)
+    slab = grid.pack_of_cells(cells)
+    vertex_ids, src_local, tgt_local, weights, n_elements, base_of_cell = (
+        pack_reference(grid, cells)
+    )
+    for got, want in (
+        (slab.vertex_ids, vertex_ids),
+        (slab.src_local, src_local),
+        (slab.tgt_local, tgt_local),
+        (slab.weights, weights),
+    ):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert slab.n_elements == n_elements
+    assert slab._base_of_cell == base_of_cell
+    assert list(slab._base_of_cell) == sorted(cells)
+    assert (grid._base_scratch == -1).all()
+    # boundary_vertices gathers the same vertices, in the same order
+    leaves = [
+        v
+        for v in vertex_ids.tolist()
+        if any(grid.cell_of_vertex[e.dest] not in cells for e in grid.graph.out_edges(v))
+    ]
+    assert grid.boundary_vertices(cells) == leaves
+    assert (grid._base_scratch == -1).all()
 
 
 def test_boundary_vertices_definition(grid, small_graph):

@@ -58,7 +58,7 @@ def test_lock_appends_fresh_tail():
     assert lst.locked
     # new messages land after the lock pointer
     lst.append(_msg(1, 1.0))
-    live = lst.locked_buckets(t_now=10.0, t_delta=100.0)
+    live, _ = lst.locked_buckets(t_now=10.0, t_delta=100.0)
     assert sum(b.n for b in live) == 1  # only the pre-lock message
 
 
@@ -66,7 +66,7 @@ def test_lock_on_empty_list():
     lst = MessageList(capacity=2)
     lst.lock_for_cleaning()
     assert lst.locked  # the pass owns the list even with nothing frozen
-    assert lst.locked_buckets(0.0, 10.0) == []
+    assert lst.locked_buckets(0.0, 10.0) == ([], 0)
     assert lst.release_cleaned() == 0
 
 
@@ -78,7 +78,8 @@ def test_stale_buckets_pruned():
     lst.append(_msg(1, 1.0))  # bucket 1: t=1
     lst.append(_msg(2, 50.0))  # bucket 2: t=50
     lst.lock_for_cleaning()
-    live = lst.locked_buckets(t_now=60.0, t_delta=20.0)
+    live, dropped = lst.locked_buckets(t_now=60.0, t_delta=20.0)
+    assert dropped == 2
     assert len(live) == 1
     assert live[0].t == 50.0
 
@@ -117,7 +118,7 @@ def test_bucket_t_is_max_not_last():
     assert bucket.t == 10.0  # not 1.0, the last message's timestamp
     lst.lock_for_cleaning()
     # cutoff 7.0: the bucket holds a fresh message (t=10) and must ship
-    live = lst.locked_buckets(t_now=12.0, t_delta=5.0)
+    live, _ = lst.locked_buckets(t_now=12.0, t_delta=5.0)
     assert len(live) == 1
 
 
@@ -197,7 +198,7 @@ def test_prepend_snapshot_after_fault_abort_relock():
     lst.unlock_abort()  # GPU fault: frozen buckets rejoin the live list
     assert lst.num_messages == 3
     lst.lock_for_cleaning()  # the retry
-    frozen = [m for b in lst.locked_buckets(1e9, 1e12) for m in b.messages]
+    frozen = [m for b in lst.locked_buckets(1e9, 1e12)[0] for m in b.messages]
     assert len(frozen) == 3
     lst.append(_msg(9, 9.0))  # arrives mid-retry
     lst.prepend_snapshot([_msg(2, 2.0)])  # compacted result, lock held
@@ -246,7 +247,7 @@ def test_no_message_lost_through_lock_cycle(times, capacity):
     for i, t in enumerate(times):
         lst.append(_msg(i, t))
     lst.lock_for_cleaning()
-    frozen = [m for b in lst.locked_buckets(1e9, 1e12) for m in b.messages]
+    frozen = [m for b in lst.locked_buckets(1e9, 1e12)[0] for m in b.messages]
     assert len(frozen) == len(times)
     lst.append(_msg(999, 1e9))
     lst.release_cleaned()
