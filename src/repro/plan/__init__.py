@@ -11,8 +11,9 @@ the choice a runtime decision:
   per-vertex truncated kNN lists rebuilt lazily per dirty region.  Cheap
   on query-dominant traffic, expensive under churn — the foil that makes
   planning meaningful.
-* :mod:`repro.plan.cache` — a kNN result cache invalidated by the same
-  message-stream tap that feeds :mod:`repro.subscribe`.
+* :mod:`repro.plan.standing` — the one staleness rule for a kNN answer
+  held across time, shared by the result cache and :mod:`repro.subscribe`.
+* :mod:`repro.plan.cache` — a kNN result cache invalidated by that rule.
 * :mod:`repro.plan.planner` — the cost-model-driven
   :class:`QueryPlanner` that picks a backend per query, explains itself
   (:class:`QueryPlan`), and re-calibrates from observed counters.

@@ -8,26 +8,13 @@ under ``(cell, edge, offset, k, time-bucket)`` and invalidated by the
 planner taps :meth:`observe` / :meth:`observe_remove` from the server's
 update path, exactly like ``attach_subscriptions`` delta plumbing.
 
-The no-stale-answer invariant (property-tested in
-``tests/plan/test_cache.py``) mirrors the subscription manager's
-dirty-marking rules; a cached entry survives a message only when the
-message provably cannot change the answer:
-
-* **member** — any message (move or removal) touching a cached member
-  invalidates: the member's distance may grow, or it vanishes.
-* **radius** — a non-member *move* invalidates every entry whose
-  cell-distance lower bound (:class:`~repro.cluster.shardmap.
-  CellDistanceBound`) to the message's cell is ``<=`` the entry's k-th
-  distance ``d_k`` — ties included, because an equidistant smaller id
-  would enter the canonical order.  While the entry holds fewer than
-  ``k`` objects the radius is infinite and any move invalidates.  A
-  non-member *removal* is provably safe: it cannot shrink any of the k
-  nearest distances, and while the entry is short every reachable
-  visible object is already a member.
-* **expiry** — lazy cleaning drops a member whose last report ages past
-  ``t_delta`` even when no message arrives, so an entry is only served
-  while ``t_now <= min(member report time) + t_delta``.  Members whose
-  report the tap never saw count as already expired (conservative).
+Whether an entry is still current is the standing-answer rule of
+:mod:`repro.plan.standing`, shared with the subscription manager: the
+cache drops an entry as soon as a message *touches* it, and drops an
+*expired* entry when a lookup finds it.  What is the cache's own is the
+key, the time bucket, ``stored_at`` and FIFO eviction.  The
+no-stale-answer invariant is property-tested in
+``tests/plan/test_cache.py``.
 
 A hit returns a *copy* of the cached answer with its cost fields zeroed:
 the entries are byte-identical to a cold query, and the served cost is
@@ -36,12 +23,12 @@ the cache's (nothing — no kernels, no cleaning, no refinement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.shardmap import CellDistanceBound
 from repro.core.knn import KnnAnswer, KnnResultEntry
 from repro.errors import PlanError
+from repro.plan.standing import StandingAnswer, StandingRule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.graph_grid import GraphGrid
@@ -54,24 +41,6 @@ _INF = float("inf")
 #: key (two locations in one cell have different answers); the bucket
 #: bounds how long an entry can live even without invalidation
 CacheKey = tuple[int, int, float, int, int]
-
-
-@dataclass
-class CacheEntry:
-    """One cached answer with everything invalidation needs."""
-
-    key: CacheKey
-    location: "NetworkLocation"
-    k: int
-    entries: tuple[tuple[int, float], ...]
-    members: frozenset[int]
-    #: the pruning radius d_k; infinite while the answer is short
-    radius: float
-    #: serve only while t_now <= expires_at (member expiry horizon)
-    expires_at: float
-    #: serve only at t_now >= stored_at: visibility is monotone in time,
-    #: so an earlier query could legally see *more* objects
-    stored_at: float
 
 
 class ResultCache:
@@ -105,19 +74,19 @@ class ResultCache:
         if max_entries < 1:
             raise PlanError(f"cache max_entries must be >= 1, got {max_entries}")
         self.grid = grid
-        self.t_delta = t_delta
-        self.bound = bound or CellDistanceBound(grid)
+        self.rule = StandingRule(grid, t_delta, bound)
         self.bucket_s = bucket_s or (t_delta if t_delta < _INF else 60.0)
         self.max_entries = max_entries
-        self._entries: dict[CacheKey, CacheEntry] = {}
-        #: last report time per live object — the expiry-horizon clock
-        self._last_seen: dict[int, float] = {}
+        self._answers: dict[CacheKey, StandingAnswer] = {}
+        #: serve only at t_now >= stored_at: visibility is monotone in
+        #: time, so an earlier query could legally see *more* objects
+        self._stored_at: dict[CacheKey, float] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._answers)
 
     def key_for(self, location: "NetworkLocation", k: int, t: float) -> CacheKey:
         cell = self.grid.cell_of_edge(location.edge_id)
@@ -130,91 +99,54 @@ class ResultCache:
         self, location: "NetworkLocation", k: int, t: float
     ) -> KnnAnswer | None:
         """The cached answer for this query, or None (counted as a miss)."""
-        entry = self._entries.get(self.key_for(location, k, t))
-        if entry is None:
+        key = self.key_for(location, k, t)
+        standing = self._answers.get(key)
+        if standing is None:
             self.misses += 1
             return None
-        if t > entry.expires_at:
-            # a member aged past t_delta: lazy cleaning would drop it
-            del self._entries[entry.key]
-            self.invalidations += 1
+        if self.rule.expired(standing, t):
+            self._drop([key])
             self.misses += 1
             return None
-        if t < entry.stored_at:
+        if t < self._stored_at[key]:
             self.misses += 1
             return None
         self.hits += 1
         answer = KnnAnswer()
-        answer.entries = [KnnResultEntry(o, d) for o, d in entry.entries]
+        answer.entries = [KnnResultEntry(o, d) for o, d in standing.entries]
         return answer
 
     def store(
         self, location: "NetworkLocation", k: int, t: float, answer: KnnAnswer
     ) -> None:
         """Memoize a cold answer under its ``(cell, k, bucket)`` key."""
-        if len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-        members = frozenset(e.obj for e in answer.entries)
-        if members and all(obj in self._last_seen for obj in members):
-            expires_at = (
-                min(self._last_seen[obj] for obj in members) + self.t_delta
-            )
-        elif members:
-            # a member the tap never saw has no report time: treat it as
-            # already expired (conservative — the entry is never served)
-            expires_at = -_INF
-        else:
-            expires_at = _INF
+        if len(self._answers) >= self.max_entries:
+            self._forget(next(iter(self._answers)))
         key = self.key_for(location, k, t)
-        self._entries[key] = CacheEntry(
-            key=key,
-            location=location,
-            k=k,
-            entries=tuple((e.obj, e.distance) for e in answer.entries),
-            members=members,
-            radius=answer.entries[-1].distance if len(answer.entries) >= k else _INF,
-            expires_at=expires_at,
-            stored_at=t,
+        self._answers[key] = self.rule.answer(
+            location, k, ((e.obj, e.distance) for e in answer.entries)
         )
+        self._stored_at[key] = t
 
     # ------------------------------------------------------------------
     # the update-stream tap
     # ------------------------------------------------------------------
     def observe(self, message: "Message") -> None:
-        """Tap one applied update; drop every entry it could change."""
-        if message.is_removal:
-            self.observe_remove(message.obj, message.t)
-            return
-        self._last_seen[message.obj] = message.t
-        cell = self.grid.cell_of_edge(message.edge)
-        cell_range = range(cell, cell + 1)
-        stale = []
-        for key, entry in self._entries.items():
-            if message.obj in entry.members:
-                stale.append(key)
-                continue
-            if entry.radius == _INF:
-                stale.append(key)
-                continue
-            lb = self.bound.lower_bound_to_cells(entry.location, cell_range)
-            if lb <= entry.radius:
-                stale.append(key)
-        self._drop(stale)
+        """Tap one applied update; drop every entry it touches."""
+        cell = self.rule.observe(message)
+        cells = () if cell is None else (cell,)
+        self._drop(self.rule.touched(self._answers.items(), {message.obj}, cells))
 
     def observe_remove(self, obj: int, t: float) -> None:
         """Tap a removal; only entries holding the object can change."""
-        self._last_seen.pop(obj, None)
-        self._drop(
-            [key for key, entry in self._entries.items() if obj in entry.members]
-        )
+        self.rule.observe_remove(obj)
+        self._drop(self.rule.touched(self._answers.items(), {obj}, ()))
 
     def _drop(self, keys: list[CacheKey]) -> None:
         for key in keys:
-            del self._entries[key]
+            self._forget(key)
         self.invalidations += len(keys)
 
-    def clear(self) -> None:
-        """Drop all entries and tap state (index reset)."""
-        self._entries.clear()
-        self._last_seen.clear()
+    def _forget(self, key: CacheKey) -> None:
+        del self._answers[key]
+        del self._stored_at[key]

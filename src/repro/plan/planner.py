@@ -56,6 +56,8 @@ from repro.server.metrics import TimingModel
 from repro.server.planner import CalibratedCosts, CapacityPlanner, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from collections.abc import Callable
+
     from repro.core.knn import KnnAnswer
     from repro.core.messages import Message
     from repro.mobility.workload import Query
@@ -66,6 +68,19 @@ _INF = float("inf")
 PRIMARY = "ggrid"
 TEN = "ten"
 CACHE = "cache"
+
+#: result-cache capacity (FIFO)
+CACHE_ENTRIES = 1024
+#: decay constant of the rate estimators (modelled seconds)
+EWMA_TAU_S = 30.0
+#: EWMA weight for cost re-calibration
+ALPHA = 0.25
+#: while queries dominate, every N-th decision probes TEN to keep its
+#: measured costs fresh
+EXPLORE_EVERY = 16
+#: TEN must beat the primary by this relative margin to be revived from
+#: parking (hysteresis)
+UNPARK_MARGIN = 0.25
 
 
 @dataclass(frozen=True)
@@ -164,48 +179,27 @@ class QueryPlanner:
         self,
         *,
         k_max: int = 24,
-        cache: bool = True,
-        cache_entries: int = 1024,
         obs: Observability | None = None,
         seed_costs: CalibratedCosts | None = None,
-        ewma_tau_s: float = 30.0,
-        alpha: float = 0.25,
         park_after: int = 24,
-        explore_every: int = 16,
-        unpark_margin: float = 0.25,
     ) -> None:
         """Args:
             k_max: labels per vertex in the TEN backend; queries with
                 larger ``k`` always route to the primary.
-            cache: enable the delta-invalidated result cache.
-            cache_entries: cache capacity.
             obs: observability bundle; defaults to the process-wide one.
             seed_costs: replay-measured per-op costs
                 (:func:`repro.server.planner.calibrate`) used instead of
                 the analytic Section VI seed.
-            ewma_tau_s: decay constant of the rate estimators (modelled
-                seconds).
-            alpha: EWMA weight for cost re-calibration.
             park_after: consecutive primary preferences (under update
                 pressure) before TEN's ingest tap is parked.
-            explore_every: while queries dominate, every N-th decision
-                probes TEN to keep its measured costs fresh.
-            unpark_margin: TEN must beat the primary by this relative
-                margin to be revived from parking (hysteresis).
         """
         if k_max < 1:
             raise PlanError(f"k_max must be >= 1, got {k_max}")
         self.k_max = k_max
-        self.cache_enabled = cache
-        self.cache_entries = cache_entries
         self.obs = obs if obs is not None else default_observability()
         self._inst = PlanInstruments(self.obs) if self.obs is not None else None
         self.seed_costs = seed_costs
-        self.ewma_tau_s = ewma_tau_s
-        self.alpha = alpha
         self.park_after = park_after
-        self.explore_every = explore_every
-        self.unpark_margin = unpark_margin
         self.index = None
         self.ten: TenIndex | None = None
         self.cache: ResultCache | None = None
@@ -215,8 +209,8 @@ class QueryPlanner:
         #: win pays no maintenance for it at all
         self._parked = True
         self._primary_streak = 0
-        self._u_rate = _DecayCounter(ewma_tau_s)
-        self._q_rate = _DecayCounter(ewma_tau_s)
+        self._u_rate = _DecayCounter(EWMA_TAU_S)
+        self._q_rate = _DecayCounter(EWMA_TAU_S)
         # published per-backend cost estimates (modelled seconds)
         self._cost_gg = 0.0
         self._cost_ten_lookup = 0.0
@@ -256,10 +250,9 @@ class QueryPlanner:
             )
         self.index = index
         self.ten = TenIndex(graph, k_max=self.k_max, t_delta=config.t_delta)
-        if self.cache_enabled:
-            self.cache = ResultCache(
-                grid, t_delta=config.t_delta, max_entries=self.cache_entries
-            )
+        self.cache = ResultCache(
+            grid, t_delta=config.t_delta, max_entries=CACHE_ENTRIES
+        )
         self._seed_estimates(graph, config)
         if self._inst is not None:
             self._inst.parked.set(1)
@@ -280,9 +273,7 @@ class QueryPlanner:
                 delta_v=config.delta_v,
             )
             capacity = CapacityPlanner(timing=self.timing, gpu=config.gpu)
-            self._cost_gg = capacity.query_gpu_seconds(
-                spec
-            ) + capacity.query_cpu_seconds(spec)
+            self._cost_gg = capacity.query_seconds(spec)
         # TEN seeds: a lookup is a targets-bounded forward Dijkstra (a
         # handful of pops per label consulted); a rebuild accepts at most
         # k_max labels per vertex.  Both recalibrate from the first
@@ -311,7 +302,7 @@ class QueryPlanner:
             # recurring stream traffic — it must not skew the rate the
             # rebuild-amortization term divides by
             self._u_rate.bump(message.t)
-        self._cache_observe(message)
+        self._tap_cache(self.cache.observe, message)
         if self._parked or self.ten is None or message.is_removal:
             return 0
         before = self.ten.update_touches
@@ -321,10 +312,7 @@ class QueryPlanner:
     def observe_remove(self, obj: int, t: float) -> int:
         """Tap an explicit deregistration (``remove_object``)."""
         self._u_rate.bump(t)
-        if self.cache is not None:
-            before = self.cache.invalidations
-            self.cache.observe_remove(obj, t)
-            self._publish_invalidations(before)
+        self._tap_cache(self.cache.observe_remove, obj, t)
         if self._parked or self.ten is None:
             return 0
         before_touches = self.ten.update_touches
@@ -334,26 +322,18 @@ class QueryPlanner:
             pass  # never reported while we were attached
         return self.ten.update_touches - before_touches
 
-    def _cache_observe(self, message: "Message") -> None:
-        if self.cache is None:
-            return
+    def _tap_cache(self, tap: "Callable[..., None]", *args: object) -> None:
         before = self.cache.invalidations
-        self.cache.observe(message)
-        self._publish_invalidations(before)
-
-    def _publish_invalidations(self, before: int) -> None:
-        if self._inst is not None and self.cache is not None:
-            delta = self.cache.invalidations - before
-            if delta:
-                self._inst.cache_invalidations.inc(delta)
+        tap(*args)
+        delta = self.cache.invalidations - before
+        if delta and self._inst is not None:
+            self._inst.cache_invalidations.inc(delta)
 
     # ------------------------------------------------------------------
     # the result cache
     # ------------------------------------------------------------------
     def cached_answer(self, q: "Query") -> "KnnAnswer | None":
-        """A byte-identical cached answer, or None on miss/disabled."""
-        if self.cache is None:
-            return None
+        """A byte-identical cached answer, or None on a miss."""
         answer = self.cache.lookup(q.location, q.k, q.t)
         if self._inst is not None:
             if answer is not None:
@@ -364,8 +344,7 @@ class QueryPlanner:
         return answer
 
     def cache_store(self, q: "Query", answer: "KnnAnswer") -> None:
-        if self.cache is not None:
-            self.cache.store(q.location, q.k, q.t, answer)
+        self.cache.store(q.location, q.k, q.t, answer)
 
     # ------------------------------------------------------------------
     # planning
@@ -399,7 +378,7 @@ class QueryPlanner:
                 PRIMARY, f"k={k} exceeds TEN k_max={self.ten.k_max} ({rates})", c_gg
             )
         elif self._parked:
-            if c_ten * (1.0 + self.unpark_margin) < c_gg:
+            if c_ten * (1.0 + UNPARK_MARGIN) < c_gg:
                 self._unpark(t)
                 plan = self._mk(
                     TEN,
@@ -414,8 +393,7 @@ class QueryPlanner:
             explore = (
                 not prefers_ten
                 and u <= qr
-                and self.explore_every > 0
-                and total % self.explore_every == self.explore_every - 1
+                and total % EXPLORE_EVERY == EXPLORE_EVERY - 1
             )
             if prefers_ten or explore:
                 predicted = self._cost_ten_lookup + (
@@ -524,7 +502,7 @@ class QueryPlanner:
             self.recalibrations += 1
             if self._inst is not None:
                 self._inst.recalibrations.inc()
-        return current + self.alpha * (measured - current)
+        return current + ALPHA * (measured - current)
 
     # ------------------------------------------------------------------
     # serving integration

@@ -19,7 +19,7 @@ planner predictions are consistent with replayed measurements (tested in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.core import costmodel
@@ -202,6 +202,10 @@ class CapacityPlanner:
             / max(1, self.timing.cpu_workers)
         )
 
+    def query_seconds(self, spec: WorkloadSpec) -> float:
+        """Modelled seconds for one query (GPU + CPU terms)."""
+        return self.query_gpu_seconds(spec) + self.query_cpu_seconds(spec)
+
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
@@ -240,28 +244,15 @@ class CapacityPlanner:
 
     def _max_query_rate(self, spec: WorkloadSpec) -> float:
         base = spec.updates_per_second * self.update_seconds(spec)
-        per_query = self.query_gpu_seconds(spec) + self.query_cpu_seconds(spec)
+        per_query = self.query_seconds(spec)
         headroom = max(0.0, 1.0 - base)
         return headroom / per_query if per_query > 0 else float("inf")
 
     def _utilization_at(self, spec: WorkloadSpec, frequency: float) -> float:
         if frequency <= 0:
             return 0.0
-        probe = WorkloadSpec(
-            num_objects=spec.num_objects,
-            update_frequency_hz=frequency,
-            queries_per_second=spec.queries_per_second,
-            k=spec.k,
-            rho=spec.rho,
-            delta_b=spec.delta_b,
-            eta=spec.eta,
-            delta_v=spec.delta_v,
-        )
-        return self.plan_utilization(probe)
+        return self.plan_utilization(replace(spec, update_frequency_hz=frequency))
 
     def plan_utilization(self, spec: WorkloadSpec) -> float:
         upd = spec.updates_per_second * self.update_seconds(spec)
-        q = spec.queries_per_second * (
-            self.query_gpu_seconds(spec) + self.query_cpu_seconds(spec)
-        )
-        return upd + q
+        return upd + spec.queries_per_second * self.query_seconds(spec)

@@ -5,8 +5,8 @@ Public surface:
 * :class:`~repro.subscribe.manager.SubscriptionManager` — registers
   ``(location, k)`` standing queries over a server, router, or front
   door backend; taps the update stream, marks dirty subscribers by the
-  safe-radius bound, and refreshes them per tick through batched
-  epochs.
+  standing-answer rule (:mod:`repro.plan.standing`), and refreshes them
+  per tick through batched epochs.
 * :class:`~repro.subscribe.events.DeltaEvent` /
   :func:`~repro.subscribe.events.diff_topk` /
   :func:`~repro.subscribe.events.replay_deltas` — the lossless

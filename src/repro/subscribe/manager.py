@@ -11,18 +11,11 @@ lazy cleaning avoids, so :class:`SubscriptionManager` maintains results
 * The per-cell message lists are reused as the **delta stream** — the
   backend taps :meth:`SubscriptionManager.observe` from its update path,
   so every location update and removal the index sees is also seen here.
-* Each subscriber caches its current top-k with its **safe radius**
-  ``d_k`` (the k-th distance; infinite while the answer holds fewer than
-  k objects).  A buffered message can only change a subscriber's answer
-  if it involves a current member, or its cell's network-distance lower
-  bound (:class:`~repro.cluster.shardmap.CellDistanceBound`) is within
-  the radius — the same μ/λ-style pruning bound the cluster router
-  fans out with, and ties (``bound == d_k``) still mark dirty because an
-  equidistant smaller id would enter the canonical order.
-* Expiry is the subtle hazard: lazy cleaning drops objects whose last
-  report is older than ``t_delta`` even when *no* message arrives, so a
-  subscriber whose member is about to expire is marked dirty by the
-  clock alone.
+* Each subscriber holds its current top-k as a
+  :class:`~repro.plan.standing.StandingAnswer`.  At a tick it is dirty
+  when it was never answered, or when the standing-answer rule of
+  :mod:`repro.plan.standing` (shared with the result cache) finds it
+  touched by a buffered message or expired by the clock alone.
 * A tick refreshes **only the dirty subscribers**, batched through
   ``query_batch`` grouped per home shard — riding the epoch batching,
   dedup cleaning and resilience ladder unchanged — and emits
@@ -39,7 +32,7 @@ answer is always refreshed).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.shardmap import CellDistanceBound
 from repro.core.knn import KnnAnswer
@@ -47,6 +40,7 @@ from repro.core.messages import Message
 from repro.errors import SubscriptionError
 from repro.mobility.workload import Query
 from repro.obs.hub import Observability, default_observability
+from repro.plan.standing import StandingAnswer, StandingRule
 from repro.roadnet.location import NetworkLocation
 from repro.server.metrics import ReplayReport, TimingModel
 from repro.subscribe.events import DeltaEvent, diff_topk
@@ -60,34 +54,29 @@ class Subscription:
 
     Attributes:
         sub_id: client-chosen id, unique within the manager.
-        location: the fixed query location.
-        k: result size.
-        entries: the current top-k as canonical ``(obj, distance)``
-            pairs — exactly what a fresh query at the last tick returned.
+        standing: the fixed location and k, and the top-k a fresh query
+            at the last refresh returned (empty before the first).
         fresh: True until the first refresh (a just-registered
             subscription has no answer yet, so it is dirty by
             definition).
     """
 
     sub_id: int
-    location: NetworkLocation
-    k: int
-    entries: list[tuple[int, float]] = field(default_factory=list)
+    standing: StandingAnswer
     fresh: bool = True
 
     @property
-    def safe_radius(self) -> float:
-        """The pruning radius ``d_k``: only messages whose cell's lower
-        bound is within it can change this answer.  Infinite while the
-        answer holds fewer than k objects — then *any* new object could
-        enter."""
-        if len(self.entries) < self.k:
-            return _INF
-        return self.entries[-1][1]
+    def location(self) -> NetworkLocation:
+        return self.standing.location
 
-    def objects(self) -> set[int]:
-        """The member set of the cached answer."""
-        return {obj for obj, _ in self.entries}
+    @property
+    def k(self) -> int:
+        return self.standing.k
+
+    @property
+    def entries(self) -> list[tuple[int, float]]:
+        """The current top-k as canonical ``(obj, distance)`` pairs."""
+        return list(self.standing.entries)
 
 
 @dataclass
@@ -198,8 +187,8 @@ class SubscriptionManager:
             )
         self.grid = grid
         self.config = config
-        self.t_delta = config.t_delta
         self.bound = bound or getattr(backend, "bound", None) or CellDistanceBound(grid)
+        self.rule = StandingRule(grid, config.t_delta, self.bound)
         self._home = getattr(backend, "home_shard", None)
         self.obs = obs if obs is not None else default_observability()
         self._inst = SubsInstruments(self.obs) if self.obs is not None else None
@@ -212,8 +201,6 @@ class SubscriptionManager:
         #: buffered deltas since the last tick: moves as (obj, cell, t),
         #: removals as (obj, None, t)
         self._buffer: list[tuple[int, int | None, float]] = []
-        #: last report time per live object (the expiry-rule clock)
-        self._last_seen: dict[int, float] = {}
         self._last_tick_t = -_INF
         # lifetime counters (deterministic; the bench/trajectory rows
         # read these rather than the metrics registry)
@@ -237,7 +224,7 @@ class SubscriptionManager:
             raise SubscriptionError(f"subscription k must be >= 1, got {k}")
         if sub_id in self.subscriptions:
             raise SubscriptionError(f"duplicate subscription id {sub_id}")
-        sub = Subscription(sub_id, location, k)
+        sub = Subscription(sub_id, self.rule.answer(location, k, ()))
         self.subscriptions[sub_id] = sub
         if self._inst is not None:
             self._inst.active.set(len(self.subscriptions))
@@ -273,13 +260,7 @@ class SubscriptionManager:
         self.messages_observed += 1
         if self._inst is not None:
             self._inst.messages.inc()
-        if message.is_removal:
-            self._buffer.append((message.obj, None, message.t))
-            self._last_seen.pop(message.obj, None)
-            return
-        cell = self.grid.cell_of_edge(message.edge)
-        self._buffer.append((message.obj, cell, message.t))
-        self._last_seen[message.obj] = message.t
+        self._buffer.append((message.obj, self.rule.observe(message), message.t))
 
     def observe_remove(self, obj: int, t: float) -> None:
         """Tap an explicit object deregistration (``remove_object``)."""
@@ -287,69 +268,21 @@ class SubscriptionManager:
         if self._inst is not None:
             self._inst.messages.inc()
         self._buffer.append((obj, None, t))
-        self._last_seen.pop(obj, None)
+        self.rule.observe_remove(obj)
 
     # ------------------------------------------------------------------
     # dirty marking
     # ------------------------------------------------------------------
     def dirty_subscribers(self, t_now: float) -> set[int]:
-        """Who must refresh at ``t_now`` (the pruning invariant).
-
-        A subscriber is dirty iff any rule fires:
-
-        1. **fresh** — never answered;
-        2. **member** — a buffered move or removal involves a current
-           top-k member (its distance may grow, or it vanishes);
-        3. **radius** — a buffered *move* of a non-member lands in a
-           cell whose network-distance lower bound is ``<=`` the safe
-           radius ``d_k`` (``<=``, not ``<``: an equidistant smaller id
-           enters the canonical order — the router's ties-still-probe
-           rule).  While the answer holds fewer than k objects the
-           radius is infinite and any move marks dirty.  A non-member
-           *removal* is provably safe: it cannot shrink any of the k
-           nearest distances.
-        4. **expiry** — a member's last report is older than
-           ``t_now - t_delta``, so lazy cleaning will drop it even
-           though no message arrived.  Members the tap never saw have
-           no report time and count as expired (conservative).
-        """
-        moved_objs: set[int] = set()
-        removed_objs: set[int] = set()
-        move_cells: set[int] = set()
-        for obj, cell, _ in self._buffer:
-            if cell is None:
-                removed_objs.add(obj)
-            else:
-                moved_objs.add(obj)
-                move_cells.add(cell)
-        cutoff = t_now - self.t_delta
-        dirty: set[int] = set()
-        for sub_id, sub in self.subscriptions.items():
-            if sub.fresh:
-                dirty.add(sub_id)
-                continue
-            members = sub.objects()
-            if members & (moved_objs | removed_objs):
-                dirty.add(sub_id)
-                continue
-            if any(
-                self._last_seen.get(obj, -_INF) < cutoff for obj in members
-            ):
-                dirty.add(sub_id)
-                continue
-            radius = sub.safe_radius
-            if move_cells and radius == _INF:
-                dirty.add(sub_id)
-                continue
-            # the bound caches its per-source-cell Dijkstra, so probing
-            # each touched cell individually stays cheap across ticks
-            for cell in move_cells:
-                lb = self.bound.lower_bound_to_cells(
-                    sub.location, range(cell, cell + 1)
-                )
-                if lb <= radius:
-                    dirty.add(sub_id)
-                    break
+        """Who must refresh at ``t_now``: every subscriber never answered,
+        and every one the standing-answer rule finds expired or touched
+        by the buffered messages."""
+        objs = {obj for obj, _, _ in self._buffer}
+        cells = {cell for _, cell, _ in self._buffer if cell is not None}
+        subs = self.subscriptions.items()
+        dirty = {s for s, sub in subs if sub.fresh or self.rule.expired(sub.standing, t_now)}
+        rest = ((s, sub.standing) for s, sub in subs if s not in dirty)
+        dirty.update(self.rule.touched(rest, objs, cells))
         return dirty
 
     # ------------------------------------------------------------------
@@ -433,7 +366,7 @@ class SubscriptionManager:
                 sub = self.subscriptions[sub_id]
                 new = [(e.obj, e.distance) for e in answer.entries]
                 deltas.extend(diff_topk(sub_id, sub.entries, new, t_now))
-                sub.entries = new
+                sub.standing = self.rule.answer(sub.location, sub.k, new)
                 sub.fresh = False
                 refreshed.append(sub_id)
                 answers.append(answer)

@@ -70,7 +70,8 @@ def test_message_outside_radius_never_changes_topk(seed):
             lb = manager.bound.lower_bound_to_cells(
                 sub.location, range(cell, cell + 1)
             )
-            if obj not in sub.objects() and lb > sub.safe_radius:
+            standing = sub.standing
+            if obj not in standing.members and lb > standing.radius:
                 outside.add(sub_id)
         server.update(Message(obj, loc.edge_id, loc.offset, t), report)
         dirty = manager.dirty_subscribers(t)
