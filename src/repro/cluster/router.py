@@ -60,6 +60,7 @@ from repro.mobility.workload import Query, Workload
 from repro.obs.hub import Observability, default_observability
 from repro.obs.metrics import RateLimitedWarner, linear_buckets
 from repro.obs.slo import SloTracker, classify_fanout
+from repro.obs.tracing import root_span, span
 from repro.persist.manager import DurabilityManager
 from repro.persist.recovery import WAL_SUBDIR
 from repro.resilience import RUNGS
@@ -397,52 +398,14 @@ class ShardRouter:
         fanout-stamped :class:`QueryRecord` are byte-compatible with an
         unsharded server's.
 
-        With tracing on, the whole scatter-gather is one trace tree: a
-        ``router.knn`` root span, one ``shard.probe`` child per shard
-        touched (its :class:`~repro.obs.tracing.TraceContext` is encoded
-        and handed to the shard's server, which decodes it — the same
-        propagation a remote shard would use), the ladder-rung spans the
-        shards record beneath their probes, and a final ``merge`` span.
-        ``trace_parent`` joins the tree to an upstream trace (the serving
-        front door's request span), as in :meth:`QueryServer.query`.
+        A query is an epoch of one: it runs the same path as
+        :meth:`query_batch`, which only adds the batch counters.
+        ``trace_parent`` joins the query's trace tree to an upstream
+        trace (the serving front door's request span), as in
+        :meth:`QueryServer.query`.
         """
-        self._maybe_fail(q.t)
-        cell = self.grid.cell_of_edge(q.location.edge_id)
-        home_sid = self.shard_map.shard_of_cell(cell)
-        if self.rebalance is not None:
-            self._load.record(home_sid, cell)
-        tracer = self.obs.tracer if self.obs is not None else None
-        if tracer is None:
-            scratch = self._scratch()
-            answer = self.shards[home_sid].server.query(q, scratch)
-            return self._finish_query(
-                q, home_sid, answer, scratch.query_records, report
-            )
-        with tracer.activate(), tracer.span(
-            "router.knn",
-            {"k": q.k, "t": q.t, "home": home_sid},
-            parent=trace_parent,
-        ) as root:
-            scratch = self._scratch()
-            answer = self._probe(home_sid, q, scratch, role="home")
-            merged = self._finish_query(
-                q, home_sid, answer, scratch.query_records, report
-            )
-            root.set_attr("fanout", report.query_records[-1].fanout)
-        return merged
-
-    def _probe(
-        self, sid: int, q: Query, scratch: ReplayReport, role: str
-    ) -> KnnAnswer:
-        """One traced shard probe: the probe span's context crosses the
-        router→shard boundary as an encoded header."""
-        tracer = self.obs.tracer if self.obs is not None else None
-        if tracer is None:
-            return self.shards[sid].server.query(q, scratch)
-        with tracer.span("shard.probe", {"shard": sid, "role": role}) as sp:
-            return self.shards[sid].server.query(
-                q, scratch, trace_parent=sp.context.encode()
-            )
+        answers, _ = self._epoch([q], report, trace_parent)
+        return answers[0]
 
     def query_batch(
         self,
@@ -453,30 +416,33 @@ class ShardRouter:
         """Execute one epoch: batched per home-shard group, then per-query
         fan-out at the epoch timestamp.  Answers align with ``queries``.
 
-        A traced epoch is one ``router.epoch`` trace tree: ``shard.batch``
-        spans for the per-home-shard batched probes (context-propagated
-        like single probes), then one ``router.fanout`` span per query
-        for its cross-shard scatter and merge.  ``trace_parent`` joins
-        the epoch to an upstream trace (the front door's epoch span).
+        Each home-shard group counts as one batch in ``n_batches``;
+        ``trace_parent`` joins the epoch to an upstream trace (the front
+        door's epoch span).
         """
         if not queries:
             return []
+        answers, batches = self._epoch(queries, report, trace_parent)
+        report.n_batches += batches
+        return answers
+
+    def _epoch(
+        self,
+        queries: list[Query],
+        report: ReplayReport,
+        trace_parent: str | None,
+    ) -> tuple[list[KnnAnswer], int]:
+        """Run one epoch; return its answers and its shard batch count.
+
+        Traced, the epoch is one ``router.epoch`` trace tree: a
+        ``shard.batch`` span per home-shard group, whose
+        :class:`~repro.obs.tracing.TraceContext` is encoded and handed to
+        the shard's server (which decodes it — the propagation a remote
+        shard would use), then one ``router.fanout`` span per query with
+        a ``shard.probe`` child per remote shard and a final ``merge``.
+        """
         t_epoch = max(q.t for q in queries)
         self._maybe_fail(t_epoch)
-        tracer = self.obs.tracer if self.obs is not None else None
-        if tracer is None:
-            return self._run_epoch(queries, t_epoch, report)
-        with tracer.activate(), tracer.span(
-            "router.epoch",
-            {"queries": len(queries), "t": t_epoch},
-            parent=trace_parent,
-        ):
-            return self._run_epoch(queries, t_epoch, report)
-
-    def _run_epoch(
-        self, queries: list[Query], t_epoch: float, report: ReplayReport
-    ) -> list[KnnAnswer]:
-        tracer = self.obs.tracer if self.obs is not None else None
         groups: dict[int, list[tuple[int, Query]]] = {}
         for i, q in enumerate(queries):
             cell = self.grid.cell_of_edge(q.location.edge_id)
@@ -485,50 +451,46 @@ class ShardRouter:
                 self._load.record(sid, cell)
             groups.setdefault(sid, []).append((i, q))
         out: list[KnnAnswer | None] = [None] * len(queries)
-        for sid, members in groups.items():
-            scratch = self._scratch()
-            group_queries = [q for _, q in members]
-            if tracer is not None:
-                with tracer.span(
-                    "shard.batch", {"shard": sid, "queries": len(members)}
-                ) as sp:
+        batches = 0
+        tracer = self.obs.tracer if self.obs is not None else None
+        with root_span(
+            tracer,
+            "router.epoch",
+            {"queries": len(queries), "t": t_epoch},
+            parent=trace_parent,
+        ):
+            for sid, members in groups.items():
+                scratch = self._scratch()
+                with span("shard.batch", {"shard": sid, "queries": len(members)}) as sp:
                     answers = self.shards[sid].server.query_batch(
-                        group_queries, scratch, trace_parent=sp.context.encode()
+                        [q for _, q in members], scratch, trace_parent=sp.traceparent
                     )
-            else:
-                answers = self.shards[sid].server.query_batch(
-                    group_queries, scratch
-                )
-            report.n_batches += scratch.n_batches
-            report.batch_cells_deduped += scratch.batch_cells_deduped
-            for (i, q), answer, record in zip(
-                members, answers, scratch.query_records
-            ):
-                # remote probes run at the epoch timestamp, matching the
-                # index state the batched home probe observed
-                probe = Query(t_epoch, q.location, q.k)
-                out[i] = self._finish_query(probe, sid, answer, [record], report)
-        return out  # type: ignore[return-value]
+                batches += scratch.n_batches
+                report.batch_cells_deduped += scratch.batch_cells_deduped
+                for (i, q), answer, record in zip(
+                    members, answers, scratch.query_records
+                ):
+                    # remote probes run at the epoch timestamp, matching
+                    # the index state the batched home probe observed
+                    probe = Query(t_epoch, q.location, q.k)
+                    out[i] = self._finish_query(probe, sid, answer, record, report)
+        return out, batches  # type: ignore[return-value]
 
     def _finish_query(
         self,
         q: Query,
         home_sid: int,
         home_answer: KnnAnswer,
-        home_records: list[QueryRecord],
+        home_record: QueryRecord,
         report: ReplayReport,
     ) -> KnnAnswer:
         """Fan out past the home shard, merge, and record one query."""
         pairs = [(e.obj, e.distance) for e in home_answer.entries]
         probed = [home_sid]
-        records = list(home_records)
+        records = [home_record]
         answers = [home_answer]
         pruned = 0
-        tracer = self.obs.tracer if self.obs is not None else None
-        trace_id: str | None = None
-
-        def fan_out() -> None:
-            nonlocal pruned
+        with span("router.fanout", {"home": home_sid, "k": q.k}) as fan:
             ranked = rank_results(pairs, q.k)
             candidates = self.bound.shards_by_bound(
                 q.location, self.shard_map, home_sid
@@ -543,27 +505,20 @@ class ShardRouter:
                     pruned += self.shard_map.num_shards - 1 - pos
                     break
                 scratch = self._scratch()
-                answer = self._probe(sid, q, scratch, role="fanout")
+                with span("shard.probe", {"shard": sid}) as sp:
+                    answer = self.shards[sid].server.query(
+                        q, scratch, trace_parent=sp.traceparent
+                    )
                 pairs.extend((e.obj, e.distance) for e in answer.entries)
                 ranked = rank_results(pairs, q.k)
                 probed.append(sid)
                 records.extend(scratch.query_records)
                 answers.append(answer)
-
-        if tracer is not None:
-            with tracer.activate(), tracer.span(
-                "router.fanout", {"home": home_sid, "k": q.k}
-            ) as sp:
-                fan_out()
-                with tracer.span("merge", {"results": q.k}):
-                    ranked = rank_results(pairs, q.k)
-                    merged = self._merge_answers(answers, ranked)
-                sp.set_attr("fanout", len(probed))
-                sp.set_attr("pruned", pruned)
-            trace_id = sp.trace_id_hex
-        else:
-            fan_out()
-            merged = self._merge_answers(answers, rank_results(pairs, q.k))
+            with span("merge", {"results": q.k}):
+                merged = self._merge_answers(answers, ranked)
+            fan.set_attr("fanout", len(probed))
+            fan.set_attr("pruned", pruned)
+        trace_id = fan.trace_id_hex
 
         record = self._merge_records(
             records, probed, t=q.t, trace_id=trace_id
@@ -714,27 +669,19 @@ class ShardRouter:
         if shard is None:
             raise ClusterError(f"unknown shard id {sid}")
         tracer = self.obs.tracer if self.obs is not None else None
-
-        def promote() -> tuple[GGridIndex, int, str]:
+        with root_span(tracer, "failover", {"shard": sid}) as sp:
             # the primary is dead: its in-memory index is gone and its
             # WAL handle with it
             shard.manager.close()
-            wal_dir = shard.directory / WAL_SUBDIR
             if shard.replica is not None:
-                index, caught_up = shard.replica.promote(wal_dir)
-                return index, caught_up, FAILOVER_REPLICA
-            # no standby: a fresh one catches up from the whole log
-            standby = Replica(sid, self.graph, self.config, self.grid)
-            index, caught_up = standby.promote(wal_dir)
-            return index, caught_up, FAILOVER_WAL
-
-        if tracer is not None:
-            with tracer.activate(), tracer.span("failover", {"shard": sid}) as sp:
-                index, caught_up, mode = promote()
-                sp.set_attr("mode", mode)
-                sp.set_attr("caught_up", caught_up)
-        else:
-            index, caught_up, mode = promote()
+                standby, mode = shard.replica, FAILOVER_REPLICA
+            else:
+                # no standby: a fresh one catches up from the whole log
+                standby = Replica(sid, self.graph, self.config, self.grid)
+                mode = FAILOVER_WAL
+            index, caught_up = standby.promote(shard.directory / WAL_SUBDIR)
+            sp.set_attr("mode", mode)
+            sp.set_attr("caught_up", caught_up)
         self.shards[sid] = Shard(
             sid,
             self._make_server(index, shard.directory),

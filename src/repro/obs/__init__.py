@@ -64,6 +64,7 @@ from repro.obs.tracing import (
     Tracer,
     current_context,
     current_tracer,
+    root_span,
     span,
     spans_to_chrome_events,
     write_chrome_trace,
@@ -101,6 +102,7 @@ __all__ = [
     "NULL_SPAN",
     "current_context",
     "current_tracer",
+    "root_span",
     "span",
     "spans_to_chrome_events",
     "write_chrome_trace",

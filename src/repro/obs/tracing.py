@@ -132,14 +132,26 @@ class Span:
         """This span's propagatable :class:`TraceContext`."""
         return TraceContext(self.trace_id, self.span_id)
 
+    @property
+    def traceparent(self) -> str:
+        """This span's encoded context, the header a child joins with."""
+        return self.context.encode()
+
     def set_attr(self, key: str, value: Any) -> None:
         self.attrs[key] = value
 
 
 class _NullSpan:
-    """Shared do-nothing span used when no tracer is active."""
+    """Shared do-nothing span used when no tracer is active.
+
+    It answers :class:`Span`'s identity reads with ``None``, so a
+    caller hands its ``traceparent`` on and stamps its ``trace_id_hex``
+    without asking whether tracing is on.
+    """
 
     __slots__ = ()
+    traceparent = None
+    trace_id_hex = None
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -199,6 +211,46 @@ class _SpanHandle:
         self._span.attrs[key] = value
 
 
+class _RootHandle(_SpanHandle):
+    """A span handle that also makes its tracer the active one."""
+
+    __slots__ = ("_previous",)
+
+    def __enter__(self) -> Span:
+        global _ACTIVE
+        self._tracer._push(self._span)
+        self._previous = _ACTIVE
+        _ACTIVE = self._tracer
+        return self._span
+
+    def __exit__(self, *exc: object) -> None:
+        global _ACTIVE
+        try:
+            self._tracer._pop(self._span)
+        finally:
+            _ACTIVE = self._previous
+
+
+def root_span(
+    tracer: "Tracer | None",
+    name: str,
+    attrs: dict[str, Any] | None = None,
+    parent: "TraceContext | str | None" = None,
+):
+    """Open an operation's outermost span on ``tracer``.
+
+    Inside the span ``tracer`` is the active tracer, so the module-level
+    :func:`span` calls beneath it record into the same tree; the
+    previously active tracer is restored on exit, even when the body
+    raises.  ``parent`` joins a propagated context, as in
+    :meth:`Tracer.span`.  With no tracer this is the shared
+    :data:`NULL_SPAN`, so one body serves traced and untraced runs.
+    """
+    if tracer is None:
+        return NULL_SPAN
+    return _RootHandle(tracer, tracer._new_span(name, attrs, parent))
+
+
 class Tracer:
     """Records a tree of wall-clock spans relative to its creation.
 
@@ -243,6 +295,14 @@ class Tracer:
         parent: "TraceContext | str | None" = None,
     ) -> _SpanHandle:
         """Open a span; ``parent`` joins a propagated remote context."""
+        return _SpanHandle(self, self._new_span(name, attrs, parent))
+
+    def _new_span(
+        self,
+        name: str,
+        attrs: dict[str, Any] | None,
+        parent: "TraceContext | str | None",
+    ) -> Span:
         s = Span(name=name, start_s=self._clock() - self._epoch)
         if attrs:
             s.attrs.update(attrs)
@@ -250,7 +310,7 @@ class Tracer:
             ctx = TraceContext.decode(parent) if isinstance(parent, str) else parent
             s.trace_id = ctx.trace_id
             s.parent_span_id = ctx.span_id
-        return _SpanHandle(self, s)
+        return s
 
     def _push(self, s: Span) -> None:
         s.span_id = next(self._span_ids)

@@ -30,6 +30,7 @@ from repro.core.ggrid import GGridIndex
 from repro.errors import PersistenceError, ReproError
 from repro.obs.hub import Observability, default_observability
 from repro.obs.metrics import log_scale_buckets
+from repro.obs.tracing import root_span
 from repro.persist.snapshot import SnapshotStore, index_from_state
 from repro.persist.wal import read_wal
 from repro.roadnet.graph import RoadNetwork
@@ -85,7 +86,7 @@ def recover(
     report = RecoveryReport()
     started = time.perf_counter()
 
-    def _run() -> GGridIndex:
+    with root_span(tracer, "recovery") as sp:
         wal = read_wal(directory / WAL_SUBDIR)
         report.wal_records_seen = len(wal.records)
         report.torn_tail = wal.torn
@@ -120,16 +121,9 @@ def recover(
                 report.failures.append(f"lsn={record.lsn}: {exc}")
                 continue
             report.records_replayed += 1
-        return index
-
-    if tracer is not None:
-        with tracer.activate(), tracer.span("recovery") as sp:
-            index = _run()
-            sp.set_attr("records_replayed", report.records_replayed)
-            sp.set_attr("snapshot_watermark", report.snapshot_watermark)
-            sp.set_attr("torn_tail", report.torn_tail)
-    else:
-        index = _run()
+        sp.set_attr("records_replayed", report.records_replayed)
+        sp.set_attr("snapshot_watermark", report.snapshot_watermark)
+        sp.set_attr("torn_tail", report.torn_tail)
     report.duration_s = time.perf_counter() - started
     if registry is not None:
         registry.counter(

@@ -101,10 +101,10 @@ class TenIndex:
         #: first query forces a build
         self._labels: list[list[tuple[float, int]]] | None = None
         self._dirty_full = False
-        #: when the oldest labeled object expires the lists go stale:
-        #: a truncated list holding an expired entry would silently
-        #: shrink the visible candidate set below ``k``
-        self._fresh_until = _INF
+        #: the oldest labeled report: once it expires the lists go
+        #: stale, since a truncated list holding an expired entry would
+        #: silently shrink the visible candidate set below ``k``
+        self._oldest = _INF
         #: brand-new objects awaiting their incremental insert
         self._pending_inserts: set[int] = set()
         self.latest_time = 0.0
@@ -139,6 +139,7 @@ class TenIndex:
                 self._dirty_full = True
         elif self._labels is not None and not self._dirty_full:
             self._pending_inserts.add(obj)
+            self._oldest = min(self._oldest, message.t)
         self.locations[obj] = NetworkLocation(message.edge, message.offset)
         self.report_times[obj] = message.t
         self._objects_by_edge.setdefault(message.edge, set()).add(obj)
@@ -195,7 +196,7 @@ class TenIndex:
         self._objects_by_edge.clear()
         self._labels = None
         self._dirty_full = False
-        self._fresh_until = _INF
+        self._oldest = _INF
         self._pending_inserts.clear()
         self.latest_time = 0.0
         self.messages_ingested = 0
@@ -213,7 +214,10 @@ class TenIndex:
         """True when a query at ``t_now`` will pay a full materialization."""
         now = self.latest_time if t_now is None else t_now
         return (
-            self._labels is None or self._dirty_full or now > self._fresh_until
+            self._labels is None
+            or self._dirty_full
+            # the same comparison as _visible (and StandingRule.expired)
+            or self._oldest < now - self.t_delta
         )
 
     def _visible(self, obj: int, t_now: float) -> bool:
@@ -230,16 +234,12 @@ class TenIndex:
     def _rebuild_full(self, now: float) -> None:
         """One reverse multi-source k-best label Dijkstra over the
         objects visible at ``now`` (expiry is monotone, so the lists
-        stay exact until ``_fresh_until``)."""
+        stay exact until the oldest of them expires)."""
         n = self.graph.num_vertices
         labels: list[list[tuple[float, int]]] = [[] for _ in range(n)]
         have: list[set[int]] = [set() for _ in range(n)]
         visible = [obj for obj in sorted(self.locations) if self._visible(obj, now)]
-        self._fresh_until = (
-            min(self.report_times[o] for o in visible) + self.t_delta
-            if visible and self.t_delta < _INF
-            else _INF
-        )
+        self._oldest = min((self.report_times[o] for o in visible), default=_INF)
         heap: list[tuple[float, int, int]] = []
         for obj in visible:
             loc = self.locations[obj]

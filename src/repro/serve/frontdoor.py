@@ -58,6 +58,7 @@ from repro.obs.slo import (
     SERVE_SLO_POLICY,
     SloTracker,
 )
+from repro.obs.tracing import root_span
 from repro.serve.deadline import LatencyEstimator, RequestContext, ServiceModel
 from repro.serve.shedding import (
     LEVEL_BROWNOUT,
@@ -345,12 +346,10 @@ class FrontDoor:
         its encoded context rides the :class:`RequestContext` so the
         epoch that executes the query can join the request's trace."""
         tracer = self.obs.tracer if self.obs is not None else None
-        if tracer is None:
-            return None
-        with tracer.activate(), tracer.span(
-            "serve.request", {"tenant": tenant, "k": q.k, "t": q.t}
+        with root_span(
+            tracer, "serve.request", {"tenant": tenant, "k": q.k, "t": q.t}
         ) as sp:
-            return sp.context.encode()
+            return sp.traceparent
 
     def _count_shed(self, err: ShedError) -> None:
         key = (err.reason, err.tenant_class)

@@ -30,6 +30,7 @@ from repro.mobility.workload import Query, Workload
 from repro.obs.hub import Observability, default_observability
 from repro.obs.metrics import RateLimitedWarner, linear_buckets, log_scale_buckets
 from repro.obs.slo import SloTracker, classify_fanout
+from repro.obs.tracing import root_span
 from repro.roadnet.location import NetworkLocation
 from repro.server.batching import BatchPolicy, default_batch_policy
 from repro.server.metrics import QueryRecord, ReplayReport, TimingModel
@@ -480,22 +481,20 @@ class QueryServer:
         backend = self.planner.resolve(plan)
         probe = self.planner.probe(plan)
         tracer = self.obs.tracer if self.obs is not None else None
-        if tracer is not None:
-            with tracer.activate(), tracer.span(
-                "plan",
-                {
-                    "backend": plan.backend,
-                    "rung": plan.rung,
-                    "predicted_s": plan.predicted_cost,
-                },
-                parent=trace_parent,
-            ) as sp:
-                sp.set_attr("reason", plan.reason)
-                (answer,) = self._execute(
-                    backend, [q], report, trace_parent=sp.context.encode()
-                )
-        else:
-            (answer,) = self._execute(backend, [q], report, trace_parent=None)
+        with root_span(
+            tracer,
+            "plan",
+            {
+                "backend": plan.backend,
+                "rung": plan.rung,
+                "predicted_s": plan.predicted_cost,
+                "reason": plan.reason,
+            },
+            parent=trace_parent,
+        ) as sp:
+            (answer,) = self._execute(
+                backend, [q], report, trace_parent=sp.traceparent
+            )
         self.planner.observe_result(plan, answer, probe)
         self.planner.cache_store(q, answer)
         return answer
@@ -525,26 +524,20 @@ class QueryServer:
         exec_stats = BatchExecStats() if knn_batch is not None else None
         t = max(q.t for q in queries)
         tracer = self.obs.tracer if self.obs is not None else None
-        trace_id: str | None = None
         t0 = time.perf_counter()
-        if tracer is None:
+        if exec_stats is None:
+            name, attrs = "query", {"k": queries[0].k, "t": t}
+        else:
+            name, attrs = "batch", {"queries": n, "t": t}
+        with root_span(tracer, name, attrs, parent=trace_parent) as sp:
             answers = _run_knn(index, queries, t, exec_stats)
-        elif exec_stats is None:
-            with tracer.activate(), tracer.span(
-                "query", {"k": queries[0].k, "t": t}, parent=trace_parent
-            ) as sp:
-                answers = _run_knn(index, queries, t, exec_stats)
+            if exec_stats is None:
                 sp.set_attr("cells_cleaned", answers[0].cells_cleaned)
                 sp.set_attr("candidates", answers[0].candidates)
-            trace_id = sp.trace_id_hex
-        else:
-            with tracer.activate(), tracer.span(
-                "batch", {"queries": n, "t": t}, parent=trace_parent
-            ) as sp:
-                answers = _run_knn(index, queries, t, exec_stats)
+            else:
                 sp.set_attr("cells_cleaned", exec_stats.cells_cleaned)
                 sp.set_attr("cells_deduped", exec_stats.cells_deduped)
-            trace_id = sp.trace_id_hex
+        trace_id = sp.trace_id_hex
         wall = time.perf_counter() - t0
 
         # equal shares of the epoch; for n == 1, /1 and divmod(x, 1)

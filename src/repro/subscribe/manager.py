@@ -40,6 +40,7 @@ from repro.core.messages import Message
 from repro.errors import SubscriptionError
 from repro.mobility.workload import Query
 from repro.obs.hub import Observability, default_observability
+from repro.obs.tracing import root_span
 from repro.plan.standing import StandingAnswer, StandingRule
 from repro.roadnet.location import NetworkLocation
 from repro.server.metrics import ReplayReport, TimingModel
@@ -302,19 +303,13 @@ class SubscriptionManager:
         self._last_tick_t = t_now
         wall0 = time.perf_counter()
         tracer = self.obs.tracer if self.obs is not None else None
-        if tracer is None:
-            result = self._refresh(t_now, force_all, trace_parent=None)
-            trace_id = None
-        else:
-            with tracer.activate(), tracer.span(
-                "sub.refresh", {"t": t_now, "active": len(self.subscriptions)}
-            ) as sp:
-                result = self._refresh(
-                    t_now, force_all, trace_parent=sp.context.encode()
-                )
-                sp.set_attr("dirty", len(result.refreshed))
-                sp.set_attr("delta_events", len(result.deltas))
-            trace_id = sp.trace_id_hex
+        with root_span(
+            tracer, "sub.refresh", {"t": t_now, "active": len(self.subscriptions)}
+        ) as sp:
+            result = self._refresh(t_now, force_all, trace_parent=sp.traceparent)
+            sp.set_attr("dirty", len(result.refreshed))
+            sp.set_attr("delta_events", len(result.deltas))
+        trace_id = sp.trace_id_hex
         wall = time.perf_counter() - wall0
         self.ticks += 1
         self.dirty_refreshes += len(result.refreshed)

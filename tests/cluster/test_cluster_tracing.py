@@ -1,8 +1,9 @@
 """Distributed tracing across the cluster: one scatter-gather kNN query
-must render as a single trace tree — router root, per-shard probe spans
-(context-propagated over the encoded ``traceparent`` header), the
-shards' ladder-rung spans, and the merge span — and tracing must never
-change an answer."""
+must render as a single trace tree — the ``router.epoch`` root (a query
+is an epoch of one), the home shard's ``shard.batch`` span, per-shard
+probe spans (context-propagated over the encoded ``traceparent``
+header), the shards' ladder-rung spans, and the merge span — and
+tracing must never change an answer."""
 
 from __future__ import annotations
 
@@ -91,10 +92,12 @@ class TestSingleQueryTrace:
         assert len(traces_by_id(spans)) == 1
         assert_well_formed(spans)
         names = [s.name for s in spans]
-        assert names[0] == "router.knn"
+        assert names[0] == "router.epoch"
         assert "router.fanout" in names
         assert "merge" in names
-        assert names.count("shard.probe") == record.fanout
+        # the home shard answers as a batch of one, the rest as probes
+        assert names.count("shard.batch") == 1
+        assert names.count("shard.probe") == record.fanout - 1
         # the shard servers' own query spans joined the router's trace
         # through the encoded traceparent header
         assert names.count("query") == record.fanout
@@ -103,7 +106,7 @@ class TestSingleQueryTrace:
         # the record's trace id is the tree's
         assert record.trace_id == spans[0].trace_id_hex
 
-    def test_probe_spans_carry_roles_and_shards(self, small_graph, fast_config, workload):
+    def test_batch_and_probe_spans_carry_shards(self, small_graph, fast_config, workload):
         obs = Observability.with_tracing()
         with ShardRouter(
             small_graph, fast_config, num_shards=4, obs=obs
@@ -114,12 +117,19 @@ class TestSingleQueryTrace:
             obs.tracer.clear()
             loc = next(iter(workload.initial.values()))
             router.query(Query(1.0, loc, k=50), report)
-        probes = [s for s in obs.tracer.spans if s.name == "shard.probe"]
-        roles = [s.attrs["role"] for s in probes]
-        assert roles[0] == "home"
-        assert set(roles[1:]) <= {"fanout"}
-        shards = {s.attrs["shard"] for s in probes}
-        assert shards <= set(range(4)) and len(shards) == len(probes)
+        spans = obs.tracer.spans
+        by_name = {name: [s for s in spans if s.name == name]
+                   for name in ("router.epoch", "shard.batch", "router.fanout",
+                                "shard.probe")}
+        (epoch,), (batch,), (fanout,) = (
+            by_name["router.epoch"], by_name["shard.batch"], by_name["router.fanout"]
+        )
+        assert batch.parent is epoch and fanout.parent is epoch
+        assert all(s.parent is fanout for s in by_name["shard.probe"])
+        # the home shard is the batch's, the probes walk the rest in order
+        shards = report.query_records[-1].shards
+        assert batch.attrs["shard"] == shards[0] == fanout.attrs["home"]
+        assert [s.attrs["shard"] for s in by_name["shard.probe"]] == list(shards[1:])
 
     def test_chrome_export_of_the_tree_is_loadable(self, small_graph, fast_config, workload, tmp_path):
         obs = Observability.with_tracing()
@@ -220,7 +230,7 @@ class TestObservabilityLinkage:
             if obs.flight.find_trace(e["trace_id"]) is not None
         ]
         assert found, "no slowlog trace id resolved in the flight recorder"
-        assert found[0][0].name in ("router.knn", "router.epoch")
+        assert found[0][0].name == "router.epoch"
 
     def test_fanout_histogram_carries_exemplar_trace_ids(self, small_graph, fast_config, workload):
         obs = Observability.with_tracing()

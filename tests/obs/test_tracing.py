@@ -13,6 +13,7 @@ from repro.obs.tracing import (
     Tracer,
     current_context,
     current_tracer,
+    root_span,
     span,
     write_chrome_trace,
 )
@@ -129,6 +130,55 @@ def test_activate_nests_and_restores_previous():
             assert current_tracer() is inner
         assert current_tracer() is outer
     assert current_tracer() is None
+
+
+# ----------------------------------------------------------------------
+# root_span: one body whether tracing is on or off
+# ----------------------------------------------------------------------
+def test_root_span_without_tracer_is_the_null_span():
+    assert root_span(None, "query", {"k": 4}) is NULL_SPAN
+    with root_span(None, "query", parent="not even parsed") as sp:
+        sp.set_attr("candidates", 7)  # silently dropped
+    assert sp.traceparent is None
+    assert sp.trace_id_hex is None
+    assert current_tracer() is None
+
+
+def test_root_span_activates_its_tracer_for_module_spans():
+    tracer = Tracer()
+    with root_span(tracer, "query", {"k": 4}) as sp:
+        assert current_tracer() is tracer
+        with span("sdist"):
+            pass
+    assert current_tracer() is None
+    assert [s.name for s in tracer.spans] == ["query", "sdist"]
+    assert tracer.spans[0].attrs == {"k": 4}
+    assert tracer.spans[1].parent is sp
+    assert sp.trace_id_hex == tracer.spans[1].trace_id_hex
+    assert TraceContext.decode(sp.traceparent) == sp.context
+
+
+def test_root_span_joins_a_parent_header():
+    upstream, shard = Tracer(), Tracer()
+    with upstream.span("router.epoch") as root:
+        pass
+    with root_span(shard, "query", parent=root.traceparent) as sp:
+        pass
+    assert sp.trace_id == root.trace_id
+    assert sp.parent_span_id == root.span_id
+
+
+def test_root_span_restores_the_previous_tracer_when_the_body_raises():
+    outer, inner = Tracer(), Tracer()
+    with outer.activate():
+        with pytest.raises(RuntimeError):
+            with root_span(inner, "failover"):
+                raise RuntimeError("boom")
+        assert current_tracer() is outer
+    assert current_tracer() is None
+    (failed,) = inner.spans
+    assert failed.name == "failover" and failed.end_s >= failed.start_s
+    assert not inner._stack
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +311,7 @@ class TestTraceIdentity:
 
     def test_remote_parent_joins_the_propagated_trace(self):
         router, shard = Tracer(), Tracer()
-        with router.span("router.knn") as root:
+        with router.span("router.epoch") as root:
             header = root.context.encode()
         with shard.span("query", parent=header) as sp:
             pass

@@ -17,6 +17,7 @@ from repro.core.messages import Message
 from repro.errors import QueryError, UnknownObjectError
 from repro.plan import TenIndex
 from repro.roadnet.generators import grid_road_network
+from repro.roadnet.location import NetworkLocation
 
 from tests.conformance.oracle import oracle_knn
 from tests.conformance.test_oracle_conformance import (
@@ -156,3 +157,49 @@ def test_constructor_and_ingest_guards(graph):
     index = TenIndex(graph, k_max=4)
     with pytest.raises(QueryError):
         index.ingest(Message(1, None, None, 1.0))  # a removal marker
+
+
+def test_lists_expire_by_the_visibility_comparison(line_graph):
+    """Rebuild exactly when a labeled report stops being visible.
+
+    At ``t = 0.1 + 0.2`` the report from 0.1 is expired by the
+    ``report < t - t_delta`` rule, yet ``0.1 + t_delta`` is not below
+    that ``t``: a "past min(report) + t_delta" staleness test keeps the
+    truncated lists, whose top-2 then loses object 2 to the expired 0.
+    """
+    t_delta = 0.2
+    # the query sits on vertex 0; objects ahead at distances 0.5, 1.5, 2.5
+    reports = [(0, 0, 0.1), (1, 2, 0.2), (2, 4, 0.2)]  # (obj, edge, t)
+    query, t_query = NetworkLocation(0, 0.0), 0.1 + 0.2
+
+    def loaded():
+        index = TenIndex(line_graph, k_max=2, t_delta=t_delta)
+        for obj, edge, t in reports:
+            index.ingest(Message(obj, edge, 0.5, t))
+        return index
+
+    reused = loaded()
+    assert entries_of(reused.knn(query, 2, t_now=0.2)) == [(0, 0.5), (1, 1.5)]
+    assert reused.needs_rebuild(t_now=t_query)
+    fresh = entries_of(loaded().knn(query, 2, t_now=t_query))
+    assert fresh == [(1, 1.5), (2, 2.5)]
+    assert entries_of(reused.knn(query, 2, t_now=t_query)) == fresh
+
+
+def test_an_inserted_label_expires_like_a_rebuilt_one(line_graph):
+    """A new object reported before every labeled one is the oldest label."""
+    query = NetworkLocation(0, 0.0)
+
+    def answer(reuse):
+        index = TenIndex(line_graph, k_max=2, t_delta=0.2)
+        for obj, edge in [(1, 2), (2, 4)]:
+            index.ingest(Message(obj, edge, 0.5, 0.3))
+        if reuse:
+            index.knn(query, 2, t_now=0.3)
+        index.ingest(Message(0, 0, 0.5, 0.15))  # out of order: older than both
+        if reuse:
+            index.knn(query, 2, t_now=0.3)
+            assert index.inserts_incremental == 1
+        return entries_of(index.knn(query, 2, t_now=0.4))
+
+    assert answer(reuse=True) == answer(reuse=False) == [(1, 1.5), (2, 2.5)]
