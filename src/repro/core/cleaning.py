@@ -17,22 +17,36 @@ Given the message lists of the cells a query touches, cleaning
 The result — the up-to-date occupants of every cleaned cell — is what the
 kNN candidate phase consumes.
 
-An *idle* cell — its list unlocked and exactly one empty bucket, and no
-object-table entry in the cell — skips steps 1-4: that cycle would ship
-nothing and leave the list as it found it.  It still counts as cleaned
-(listed in :attr:`CleaningResult.cells`, with no occupants), so every
-cleaning counter and every modelled GPU counter is the same as if the
-cycle had run.  A never-appended list takes the full cycle once, which
-gives it its one empty bucket.
+A *clean* cell skips steps 1-4 and serves the occupants its last full
+pass produced (the list's :class:`~repro.core.message_list.CleanRecord`)
+when its list is unlocked and
+
+- no message was appended since that pass locked it (removal markers
+  are appends, so a cell an object left is dirty),
+- the record's horizon — the oldest report among the cell's
+  object-table entries — is still visible: ``horizon >= t_now -
+  t_delta``, and
+- the object table still holds as many entries in the cell as the
+  record has occupants (an O(1) guard against entries written without
+  an append).
+
+A full pass over such a cell would ship exactly its snapshot, expire
+nothing and produce the same occupants.  An empty cell is the empty
+record (horizon ``+inf``).  A skipped cell still counts as cleaned, in
+list order, so the cleaning counters are those of a full pass; the
+modelled GPU counters are those of the pass that ships only the dirty
+cells.  A never-cleaned list, or one whose pass aborted, has no record
+and takes the full cycle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.config import GGridConfig
-from repro.core.message_list import Bucket, MessageList
+from repro.core.message_list import Bucket, CleanRecord, MessageList
 from repro.core.messages import CellMessage, Message
 from repro.core.object_table import ObjectTable
 from repro.core.xshuffle import IntermediateTable, collect_kernel, x_shuffle_kernel
@@ -60,13 +74,18 @@ class CleaningResult:
 
     Attributes:
         occupants: per cleaned cell, the live objects and their latest
-            locations (removal-marker-latest objects are excluded).
+            locations (removal-marker-latest objects are excluded).  A
+            cell's dict may be shared with its list's clean record and
+            with later results served from it: treat it as read-only.
         cells: the cells actually cleaned (locked lists are skipped;
-            idle cells count as cleaned although their cycle is
+            clean cells count as cleaned although their cycle is
             skipped, see the module docstring).
         messages_processed: messages the GPU kernels consumed.
         buckets_shipped: buckets transferred to the device.
         messages_dropped: messages discarded as obsolete before transfer.
+        objects_expired: object-table entries dropped because their
+            last report predates ``t_now - t_delta``.
+        cells_reused: cells served from their clean record.
     """
 
     occupants: dict[int, dict[int, CleanedLocation]] = field(default_factory=dict)
@@ -75,6 +94,7 @@ class CleaningResult:
     buckets_shipped: int = 0
     messages_dropped: int = 0
     objects_expired: int = 0
+    cells_reused: int = 0
 
     def all_objects(self) -> dict[int, tuple[int, CleanedLocation]]:
         """Flatten to ``{obj: (cell, location)}``."""
@@ -130,6 +150,7 @@ class MessageCleaner:
             sp.set_attr("cells", len(result.cells))
             sp.set_attr("messages", result.messages_processed)
             sp.set_attr("buckets", result.buckets_shipped)
+            sp.set_attr("reused", result.cells_reused)
         self.cleanings_total += 1
         self.cells_cleaned_total += len(result.cells)
         return result
@@ -145,20 +166,29 @@ class MessageCleaner:
         config = self.config
 
         # -- step 1: preprocessing — lock lists and gather live buckets --
-        locked: dict[int, MessageList] = {}
+        cutoff = t_now - config.t_delta
+        locked: dict[int, tuple[MessageList, int]] = {}
         live_pairs: list[tuple[int, Bucket]] = []
         for cell, mlist in lists.items():
             if mlist.locked:  # concurrent cleaning owns it: skip safely
                 continue
-            # idle or not, the cell counts as cleaned, in list order
-            result.occupants[cell] = {}
+            # clean or not, the cell counts as cleaned, in list order
             result.cells.add(cell)
-            if mlist.drained and not object_table.occupied(cell):
-                # idle: a full pass would ship nothing and leave the list
-                # as it is (one empty bucket), so skip the cycle
+            record = mlist.record
+            if (
+                record is not None
+                and record.version == mlist.version
+                and record.horizon >= cutoff
+                and len(record.occupants) == len(object_table.objects_in_cell(cell))
+            ):
+                # clean: a full pass would ship the snapshot and return
+                # these occupants, so serve them instead
+                result.occupants[cell] = record.occupants
+                result.cells_reused += 1
                 continue
+            result.occupants[cell] = {}
+            locked[cell] = (mlist, mlist.version)
             mlist.lock_for_cleaning()
-            locked[cell] = mlist
             live, dropped = mlist.locked_buckets(t_now, config.t_delta)
             for bucket in live:
                 live_pairs.append((cell, bucket))
@@ -173,7 +203,7 @@ class MessageCleaner:
         except Exception:
             # fault during the GPU phase: put every frozen bucket back —
             # cached updates must survive any cleaning failure
-            for mlist in locked.values():
+            for mlist, _ in locked.values():
                 mlist.unlock_abort()
             self.gpu.free("clean.T")
             self.gpu.free("clean.R")
@@ -186,17 +216,25 @@ class MessageCleaner:
         # message lists above, and leaving it in the table would let the
         # CPU refinement (which enumerates objects via the table) see a
         # different world than the GPU candidate phase
-        cutoff = t_now - config.t_delta
+        horizons: dict[int, float] = {}
         for cell in locked:
-            # columnar scan: one vectorised timestamp compare per cell;
-            # the expired ids are materialised before removal mutates the
-            # underlying per-cell set
+            # columnar scan: the oldest report is the record's horizon,
+            # and only a cell whose oldest report expired is compared
+            # element-wise; the expired ids are materialised before
+            # removal mutates the underlying per-cell set
             cols = object_table.cell_columns(cell)
             if cols is None:
+                horizons[cell] = inf
                 continue
-            for obj in cols.objs[cols.ts < cutoff].tolist():
-                object_table.remove(obj)
-                result.objects_expired += 1
+            oldest = float(cols.ts.min())
+            if oldest < cutoff:
+                stale = cols.ts < cutoff
+                for obj in cols.objs[stale].tolist():
+                    object_table.remove(obj)
+                    result.objects_expired += 1
+                kept = cols.ts[~stale]
+                oldest = float(kept.min()) if kept.size else inf
+            horizons[cell] = oldest
         for obj, message in latest.items():
             if message.is_removal:
                 continue  # the object left this cell
@@ -207,16 +245,15 @@ class MessageCleaner:
                 message.edge, message.offset, message.t
             )
 
-        for cell, mlist in locked.items():
+        for cell, (mlist, version) in locked.items():
             mlist.release_cleaned()
+            occupants = result.occupants[cell]
             snapshot = [
                 Message(obj, loc.edge, loc.offset, loc.t)
-                for obj, loc in sorted(
-                    result.occupants.get(cell, {}).items(),
-                    key=lambda kv: kv[1].t,
-                )
+                for obj, loc in sorted(occupants.items(), key=lambda kv: kv[1].t)
             ]
             mlist.prepend_snapshot(snapshot)
+            mlist.record = CleanRecord(occupants, horizons[cell], version)
         return result
 
     def _dedup_host(

@@ -6,16 +6,25 @@ list carries three pointers: ``p_h`` (head), ``p_t`` (tail) and ``p_l``
 (lock) — buckets *before* ``p_l`` are frozen for an in-flight cleaning
 pass (Section IV-B1) while new messages keep appending at the tail, so
 ingest never blocks on cleaning.
+
+Each list also carries a ``version``, bumped by every :meth:`append`,
+and the :class:`CleanRecord` its last full cleaning pass left behind; the
+cleaner serves a cell from its record while neither has moved (see
+:mod:`repro.core.cleaning`).  A new list has no record, so it starts
+dirty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import CapacityError, CleaningLockError
 from repro.core.messages import Message
 from repro.simgpu.memory import MESSAGE_BYTES
+
+if TYPE_CHECKING:
+    from repro.core.cleaning import CleanedLocation
 
 
 @dataclass
@@ -70,6 +79,23 @@ class Bucket:
         return self.n * MESSAGE_BYTES
 
 
+@dataclass(frozen=True, slots=True)
+class CleanRecord:
+    """What the last full cleaning pass of a list produced.
+
+    ``occupants`` is the pass's ``{obj: CleanedLocation}`` dict for the
+    cell, shared with that pass's result and read-only.  ``horizon`` is
+    the oldest report among the cell's object-table entries after the
+    pass (``+inf`` when the cell is empty): the record stays valid while
+    ``horizon >= t_now - t_delta``.  ``version`` is the list's
+    :attr:`MessageList.version` when the pass locked it.
+    """
+
+    occupants: dict[int, CleanedLocation]
+    horizon: float
+    version: int
+
+
 class MessageList:
     """The per-cell chronological update log.
 
@@ -106,6 +132,10 @@ class MessageList:
         self._head: Bucket | None = None
         self._tail: Bucket | None = None
         self._lock: Bucket | None = None  # p_l: cleaning frontier
+        #: bumped by every append (a removal marker too), never otherwise
+        self.version = 0
+        #: the last full cleaning pass's result; cleared by each lock
+        self.record: CleanRecord | None = None
 
     # ------------------------------------------------------------------
     # ingest path
@@ -134,6 +164,7 @@ class MessageList:
                 self._tail.next = bucket
                 self._tail = bucket
         self._tail.append(message)
+        self.version += 1
 
     # ------------------------------------------------------------------
     # cleaning protocol (Section IV-B1)
@@ -172,6 +203,7 @@ class MessageList:
             self._tail.next = fresh
             self._tail = fresh
         self._lock = fresh
+        self.record = None
 
     def locked_buckets(
         self, t_now: float, t_delta: float

@@ -19,7 +19,6 @@ time and transfer volumes with the right *shape* (see DESIGN.md §2).
 from repro.simgpu.device import CostModel, SimGpu
 from repro.simgpu.kernel import KernelContext
 from repro.simgpu.stats import GpuStats
-from repro.simgpu.reduce import ballot, warp_reduce
 from repro.simgpu.stream import PipelinedStream
 from repro.simgpu.trace import GpuTrace
 from repro.simgpu.warp import shuffle_xor
@@ -31,7 +30,5 @@ __all__ = [
     "GpuStats",
     "PipelinedStream",
     "shuffle_xor",
-    "ballot",
-    "warp_reduce",
     "GpuTrace",
 ]

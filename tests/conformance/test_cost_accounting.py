@@ -3,7 +3,8 @@
 The simulated GPU's deterministic counters let the engine's economics be
 asserted exactly: an overlapping epoch must do strictly fewer kernel
 launches, host<->device transfers and cell cleanings than sequential
-execution of the same queries — and a batch of one must cost *exactly*
+execution of the same queries fed the same appends (so each sequential
+query finds its cells dirty) — and a batch of one must cost *exactly*
 the same as a single query, counter for counter (a single query is an
 epoch of one).
 """
@@ -22,7 +23,7 @@ from repro.core.messages import Message
 from repro.roadnet.generators import grid_road_network
 from repro.simgpu.trace import GpuTrace
 
-from tests.conftest import random_location
+from tests.conftest import random_location, rereports_in_place
 
 pytestmark = pytest.mark.conformance
 
@@ -49,21 +50,40 @@ def _entries(answers):
     return [[(e.obj, e.distance) for e in a.entries] for a in answers]
 
 
-def test_batched_strictly_cheaper_than_sequential():
-    queries = _overlapping_queries()
-
+def _sequential_and_batched(queries):
+    """Run ``queries`` one after another, re-reporting one object per
+    occupied cell before each, and as one batch after the same
+    re-reports.  A cell two queries share is then cleaned twice when
+    they run one after another, and once when they share an epoch.
+    Returns each index with its stats diff and answers."""
     sequential = _loaded_index()
+    fed = []
     seq_before = sequential.stats.snapshot()
-    seq_answers = [sequential.knn(loc, k) for loc, k in queries]
+    seq_answers = []
+    for loc, k in queries:
+        messages = rereports_in_place(sequential)
+        fed.extend(messages)
+        for m in messages:
+            sequential.ingest(m)
+        seq_answers.append(sequential.knn(loc, k))
     seq = sequential.stats.diff(seq_before)
-    seq_cells = sequential.cleaner.cells_cleaned_total
-    seq_passes = sequential.cleaner.cleanings_total
 
     batched = _loaded_index()
+    for m in fed:
+        batched.ingest(m)
     stats = BatchExecStats()
     bat_before = batched.stats.snapshot()
     bat_answers = batched.knn_batch(queries, exec_stats=stats)
     bat = batched.stats.diff(bat_before)
+    return (sequential, seq, seq_answers), (batched, bat, bat_answers, stats)
+
+
+def test_batched_strictly_cheaper_than_sequential():
+    (sequential, seq, seq_answers), (batched, bat, bat_answers, stats) = (
+        _sequential_and_batched(_overlapping_queries())
+    )
+    seq_cells = sequential.cleaner.cells_cleaned_total
+    seq_passes = sequential.cleaner.cleanings_total
 
     assert _entries(bat_answers) == _entries(seq_answers)
     assert bat.kernel_launches < seq.kernel_launches
@@ -116,19 +136,19 @@ def test_single_query_counters_are_pinned():
 
     assert objects[:3] == [[35], [38, 28, 64, 62], [5, 76, 3, 74, 67, 61, 15, 70]]
     assert index.stats.as_dict() == {
-        "kernel_launches": 84,
+        "kernel_launches": 80,
         "batched_launches": 0,
         "batched_jobs": 0,
-        "lane_ops": 19578,
-        "shuffle_ops": 1677,
+        "lane_ops": 18678,
+        "shuffle_ops": 1440,
         "sync_count": 93,
-        "atomic_ops": 248,
-        "bytes_h2d": 15628,
-        "bytes_d2h": 5232,
-        "transfers_h2d": 25,
-        "transfers_d2h": 36,
-        "kernel_time_s": 0.00046514200000000096,
-        "transfer_time_s": 0.0006117383333333335,
+        "atomic_ops": 216,
+        "bytes_h2d": 14968,
+        "bytes_d2h": 4612,
+        "transfers_h2d": 23,
+        "transfers_d2h": 34,
+        "kernel_time_s": 0.0004448700000000009,
+        "transfer_time_s": 0.0005716316666666667,
         "pipelined_saved_s": 0.0,
     }
     assert index.cleaner.cells_cleaned_total == 131
@@ -136,10 +156,10 @@ def test_single_query_counters_are_pinned():
 
 
 def test_sparse_stream_counters_are_pinned(monkeypatch):
-    """A sparse stream (6 objects, rings of mostly empty cells) costs the
-    counters recorded before idle cells skipped their cleaning cycle:
-    an idle cell still counts as cleaned and moves no modelled counter.
-    Over half of the cleaned cells here are idle (never locked)."""
+    """A sparse stream (6 objects, rings of mostly empty cells) costs
+    exactly the recorded counters.  A clean cell is served from its
+    record and still counts as cleaned; only dirty cells are shipped.
+    Over half of the cleaned cells here are clean (never locked)."""
     locks = 0
     lock = MessageList.lock_for_cleaning
 
@@ -162,19 +182,19 @@ def test_sparse_stream_counters_are_pinned(monkeypatch):
 
     assert objects[:3] == [[5, 1], [3, 1], [2, 5]]
     assert index.stats.as_dict() == {
-        "kernel_launches": 130,
+        "kernel_launches": 100,
         "batched_launches": 0,
         "batched_jobs": 0,
-        "lane_ops": 76742,
-        "shuffle_ops": 345,
+        "lane_ops": 76301,
+        "shuffle_ops": 234,
         "sync_count": 208,
-        "atomic_ops": 99,
-        "bytes_h2d": 11808,
-        "bytes_d2h": 2236,
-        "transfers_h2d": 48,
-        "transfers_d2h": 59,
-        "kernel_time_s": 0.0007381670000000022,
-        "transfer_time_s": 0.001071170333333334,
+        "atomic_ops": 65,
+        "bytes_h2d": 11128,
+        "bytes_d2h": 1556,
+        "transfers_h2d": 33,
+        "transfers_d2h": 44,
+        "kernel_time_s": 0.0005868090000000014,
+        "transfer_time_s": 0.0007710570000000003,
         "pipelined_saved_s": 0.0,
     }
     assert index.cleaner.cells_cleaned_total == 567
@@ -208,18 +228,7 @@ def test_fused_launch_accounting():
 def test_modelled_work_is_preserved():
     """Fusion saves overheads, never modelled work: the lane/shuffle op
     counts of a batch equal those of sequential execution."""
-    queries = _overlapping_queries()
-
-    sequential = _loaded_index()
-    seq_before = sequential.stats.snapshot()
-    for loc, k in queries:
-        sequential.knn(loc, k)
-    seq = sequential.stats.diff(seq_before)
-
-    batched = _loaded_index()
-    bat_before = batched.stats.snapshot()
-    batched.knn_batch(queries)
-    bat = batched.stats.diff(bat_before)
+    (_, seq, _), (_, bat, _, _) = _sequential_and_batched(_overlapping_queries())
 
     # phase-2 work per query is identical; phase-1 work *shrinks* because
     # deduplicated cells are shipped and shuffled once, so the batch can

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.config import GGridConfig
+from repro.core.messages import Message
 from repro.roadnet.generators import grid_road_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
@@ -56,3 +57,20 @@ def random_location(graph: RoadNetwork, rng: random.Random) -> NetworkLocation:
     """A uniformly random on-edge location (test helper)."""
     edge = rng.randrange(graph.num_edges)
     return NetworkLocation(edge, rng.uniform(0.0, graph.edge(edge).weight))
+
+
+def rereports_in_place(index) -> list[Message]:
+    """One object per occupied cell of ``index``, re-reported where it
+    stands (test helper).
+
+    Ingesting them moves nothing, but each occupied cell's list gets an
+    append, so its next cleaning takes the full cycle instead of serving
+    its clean record.
+    """
+    table = index.object_table
+    messages = []
+    for cell in table.occupied_cells():
+        obj = min(table.objects_in_cell(cell))
+        entry = table.get(obj)
+        messages.append(Message(obj, entry.edge, entry.offset, entry.t))
+    return messages

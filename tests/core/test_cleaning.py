@@ -5,8 +5,10 @@ occupants equal the eagerly-maintained object table restricted to those
 cells — lazy and eager agree.
 """
 
+import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +16,12 @@ from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
 from repro.core.messages import Message
 from repro.core.object_table import ObjectEntry
+from repro.errors import GpuError
+from repro.obs.tracing import Tracer
+from repro.persist.snapshot import index_from_state, index_state
 from repro.roadnet.generators import grid_road_network
+from repro.roadnet.location import NetworkLocation
+from repro.simgpu.trace import GpuTrace
 
 
 def _index(graph, **kw) -> GGridIndex:
@@ -161,7 +168,8 @@ def test_empty_cells_clean_to_empty(medium_graph):
 
 
 # ----------------------------------------------------------------------
-# idle cells: an unlocked one-empty-bucket list with no object-table entry
+# clean cells: an unlocked list whose record is current is served from
+# it; an idle cell (no message, no object-table entry) is the empty record
 # ----------------------------------------------------------------------
 def _departed_cell(graph):
     """An index whose only object moved out of cell ``c1``, and ``c1``."""
@@ -238,6 +246,110 @@ def test_locked_idle_list_skipped(medium_graph):
     assert c1 not in result.occupants
     assert index.cleaner.cells_cleaned_total == cells_before
     assert mlist.locked
+
+
+def test_record_served_at_exact_horizon_and_expires_one_ulp_later(medium_graph):
+    """The record's horizon is compared as ``_visible`` compares a
+    report: exactly ``t_now - t_delta`` is still visible."""
+    index = _index(medium_graph, t_delta=10.0)
+    index.ingest(Message(1, 0, 0.1, 1.0))
+    cell = index.grid.cell_of_edge(0)
+    index.clean_cells({cell}, t_now=3.0)
+    assert index.lists[cell].record.horizon == 1.0
+
+    served = index.clean_cells({cell}, t_now=11.0)  # cutoff exactly 1.0
+    assert served.cells_reused == 1 and served.messages_processed == 0
+    assert 1 in served.occupants[cell] and 1 in index.object_table
+
+    later = index.clean_cells({cell}, t_now=math.nextafter(11.0, math.inf))
+    assert later.cells_reused == 0
+    assert later.objects_expired == 1
+    assert later.occupants[cell] == {}
+    assert 1 not in index.object_table
+
+
+def test_removal_marker_makes_old_cell_dirty(medium_graph):
+    index = _index(medium_graph)
+    grid = index.grid
+    e2 = next(
+        e.id for e in medium_graph.edges() if grid.cell_of_edge(e.id) != grid.cell_of_edge(0)
+    )
+    c1 = grid.cell_of_edge(0)
+    index.ingest(Message(5, 0, 0.1, 1.0))
+    index.clean_cells({c1}, t_now=1.0)
+    version = index.lists[c1].version
+    index.ingest(Message(5, e2, 0.3, 2.0))  # appends a marker to c1
+    assert index.lists[c1].version == version + 1
+    result = index.clean_cells({c1}, t_now=2.0)
+    assert result.cells_reused == 0
+    assert result.occupants[c1] == {}
+    assert index.lists[c1].record.occupants == {}
+
+
+def test_faulted_clean_leaves_no_record(medium_graph, monkeypatch):
+    index = _index(medium_graph)
+    cell = index.grid.cell_of_edge(0)
+    index.ingest(Message(1, 0, 0.1, 1.0))
+    index.clean_cells({cell}, t_now=1.0)
+    index.ingest(Message(1, 0, 0.2, 2.0))
+    mlist = index.lists[cell]
+
+    def fault(*_):
+        raise GpuError("injected mid-clean fault")
+
+    monkeypatch.setattr(index.cleaner, "_run_gpu_pipeline", fault)
+    with pytest.raises(GpuError):
+        index.clean_cells({cell}, t_now=2.0)
+    assert mlist.record is None and not mlist.locked
+    monkeypatch.undo()
+    result = index.clean_cells({cell}, t_now=2.0)
+    assert result.cells_reused == 0
+    assert result.occupants[cell][1].offset == 0.2
+
+
+def test_reset_and_restore_start_without_records(medium_graph):
+    index = _index(medium_graph)
+    index.ingest(Message(1, 0, 0.1, 1.0))
+    cells = set(range(index.grid.num_cells))
+    index.clean_cells(cells, t_now=1.0)
+    assert all(mlist.record is not None for mlist in index.lists.values())
+
+    restored = index_from_state(index_state(index))
+    assert all(mlist.record is None for mlist in restored.lists.values())
+    assert restored.clean_cells(cells, t_now=1.0).cells_reused == 0
+
+    index.reset_objects()
+    assert not index.lists
+    assert index.clean_cells(cells, t_now=1.0).cells_reused == 0
+
+
+def test_repeated_query_ships_nothing(medium_graph):
+    rng = random.Random(4)
+    index = _index(medium_graph)
+    t = _random_updates(medium_graph, index, rng, objects=30, t0=0.0, rounds=3)
+    location = NetworkLocation(0, 0.1)
+    first = index.knn(location, 4, t_now=t)
+    with GpuTrace(index.gpu) as trace:
+        again = index.knn(location, 4, t_now=t)
+    assert again.entries == first.entries
+    assert again.cells_cleaned == first.cells_cleaned
+    assert not [e for e in trace.events if e.name == "GPU_X_Shuffle"]
+
+
+def test_reused_cells_are_counted_and_traced(medium_graph):
+    index = _index(medium_graph)
+    index.ingest(Message(1, 0, 0.1, 1.0))
+    cell = index.grid.cell_of_edge(0)
+    other = next(c for c in range(index.grid.num_cells) if c != cell)
+    index.clean_cells({cell, other}, t_now=1.0)
+    index.ingest(Message(1, 0, 0.2, 2.0))  # dirties `cell` only
+    tracer = Tracer()
+    with tracer.activate():
+        result = index.clean_cells({cell, other}, t_now=2.0)
+    assert result.cells == {cell, other}
+    assert result.cells_reused == 1
+    [sp] = [s for s in tracer.spans if s.name == "clean_cells"]
+    assert sp.attrs["reused"] == 1 and sp.attrs["cells"] == 2
 
 
 @settings(max_examples=10, deadline=None)
