@@ -164,7 +164,6 @@ class ShardRouter:
         obs: Observability | None = None,
         batch: BatchPolicy | None = None,
         replicas: bool = True,
-        ship_every: int = 8,
         failure_plan: ShardFailurePlan | None = None,
         rebalance: RebalancePolicy | None = None,
         planner_factory: "object | None" = None,
@@ -181,8 +180,9 @@ class ShardRouter:
             timing: the modelled-time parameters (shared by all shards).
             obs: observability bundle; defaults to the process-wide one.
             batch: epoch batching policy applied per home-shard group.
-            replicas: keep a standby :class:`Replica` per shard.
-            ship_every: replica apply interval, in shipped WAL records.
+            replicas: keep a standby :class:`Replica` per shard; each
+                applies its shipped WAL records at the replica's default
+                ``ship_every`` interval.
             failure_plan: scheduled shard failures applied at event time.
             rebalance: hot-shard split policy (``None`` = no splits).
             planner_factory: zero-arg callable returning a fresh
@@ -215,7 +215,6 @@ class ShardRouter:
             else Path(directory)
         )
         self.replicas_enabled = replicas
-        self.ship_every = ship_every
         self.failure_plan = failure_plan or ShardFailurePlan()
         self._pending_failures = sorted(
             self.failure_plan.failures, key=lambda f: (f[1], f[0])
@@ -283,7 +282,7 @@ class ShardRouter:
         index = GGridIndex(self.graph, self.config, grid=self.grid)
         server = self._make_server(index, self.directory / f"shard-{sid:03d}")
         replica = (
-            Replica(sid, self.graph, self.config, self.grid, self.ship_every)
+            Replica(sid, self.graph, self.config, self.grid)
             if self.replicas_enabled
             else None
         )

@@ -28,10 +28,6 @@ class GGridConfig:
             at least ``rho * k`` candidate objects before the GPU phase.
         t_delta: maximum seconds between two location updates of an
             object; buckets older than this are discarded unread.
-        cpu_workers: CPU threads used for refinement (paper machine: 12).
-        python_speedup: divisor converting measured pure-Python CPU time
-            into modelled compiled-CPU time for reporting (the paper's
-            implementation is C++; shapes are preserved, see DESIGN.md).
         pipelined_transfers: overlap H2D transfers with cleaning kernels.
         sdist_early_exit: stop GPU_SDist after the first synchronous
             round that changes no distance (an optimisation ablated in
@@ -49,6 +45,9 @@ class GGridConfig:
             Chaos profiles shrink this to exercise capacity pressure.
         seed: base RNG seed for partitioning and simulated write races.
         gpu: simulated-device cost model.
+
+    The CPU side of the cost model (``cpu_workers``, ``python_speedup``)
+    is :class:`~repro.server.metrics.TimingModel`'s, not the index's.
     """
 
     delta_c: int = 3
@@ -57,8 +56,6 @@ class GGridConfig:
     eta: int = 5
     rho: float = 1.8
     t_delta: float = 60.0
-    cpu_workers: int = 12
-    python_speedup: float = 50.0
     pipelined_transfers: bool = True
     sdist_early_exit: bool = True
     partitioner: str = "multilevel"
@@ -79,12 +76,6 @@ class GGridConfig:
             raise ConfigError(f"rho must be > 1, got {self.rho}")
         if self.t_delta <= 0:
             raise ConfigError(f"t_delta must be positive, got {self.t_delta}")
-        if self.cpu_workers < 1:
-            raise ConfigError(f"cpu_workers must be >= 1, got {self.cpu_workers}")
-        if self.python_speedup <= 0:
-            raise ConfigError(
-                f"python_speedup must be positive, got {self.python_speedup}"
-            )
         if self.partitioner not in ("multilevel", "geometric"):
             raise ConfigError(f"unknown partitioner {self.partitioner!r}")
         if self.max_buckets_per_cell is not None and self.max_buckets_per_cell < 1:

@@ -8,8 +8,8 @@ vertex ``v`` with restricted distance ``dist(q, v) < l``, a bounded
 Dijkstra with radius ``l - dist(q, v)`` explores v's unresolved range on
 the full graph and scores every object found there.  Each unresolved
 vertex is independent, so the paper runs them on parallel CPU threads;
-this implementation runs them sequentially and lets the metrics layer
-model the division across ``cpu_workers`` (see DESIGN.md §2).
+this implementation runs them sequentially and lets the timing model
+divide the work across ``TimingModel.cpu_workers`` (see DESIGN.md §2).
 
 At paper scale the per-search ``dict`` allocations and per-object scoring
 dominate, so the searches share one full-size distance array

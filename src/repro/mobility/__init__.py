@@ -16,7 +16,6 @@ initial placements, interleaved update streams and query sets.
 from repro.mobility.moto import MotoGenerator
 from repro.mobility.objects import MovingObject
 from repro.mobility.patterns import RushHourGenerator, hotspot_placements
-from repro.mobility.serialize import load_workload, save_workload
 from repro.mobility.workload import Workload, make_workload, random_locations
 
 __all__ = [
@@ -27,6 +26,4 @@ __all__ = [
     "random_locations",
     "RushHourGenerator",
     "hotspot_placements",
-    "save_workload",
-    "load_workload",
 ]

@@ -47,23 +47,3 @@ def z_decode(z: int, bits: int) -> tuple[int, int]:
         x |= ((z >> (2 * i)) & 1) << i
         y |= ((z >> (2 * i + 1)) & 1) << i
     return x, y
-
-
-def z_neighbors(z: int, bits: int) -> list[int]:
-    """Z-values of the 8-connected grid neighbours of cell ``z``.
-
-    Used as a cheap geometric fallback when expanding the candidate-cell
-    ring of a query (the primary neighbour relation is graph-topological,
-    see :meth:`repro.core.graph_grid.GraphGrid.neighbors`).
-    """
-    x, y = z_decode(z, bits)
-    side = 1 << bits
-    result = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if dx == dy == 0:
-                continue
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < side and 0 <= ny < side:
-                result.append(z_encode(nx, ny, bits))
-    return result

@@ -57,8 +57,9 @@ from repro.roadnet.graph import RoadNetwork
 
 #: bumped on breaking snapshot-layout changes (2: per-cell backlogs and
 #: direct object-table restore; 3: every config field but ``gpu``
-#: persisted, so ``partitioner`` survives a restore)
-SNAPSHOT_VERSION = 3
+#: persisted, so ``partitioner`` survives a restore; 4: the unread
+#: ``cpu_workers`` and ``python_speedup`` config fields dropped)
+SNAPSHOT_VERSION = 4
 
 #: GGridConfig fields persisted (the GPU cost model is environment, not state)
 _CONFIG_FIELDS = tuple(

@@ -13,6 +13,10 @@ Section II of the paper, plus everything the evaluation needs around it:
   so the real datasets drop in unchanged.
 * :mod:`repro.roadnet.datasets` — the six named evaluation networks at a
   reduced scale (see DESIGN.md section 2).
+
+Search is Dijkstra-family only: G-Grid's kNN (GPU SDist over the
+candidate cells, then bounded-Dijkstra refinement) never runs a
+goal-directed or precomputed point-to-point search.
 """
 
 from repro.roadnet.graph import Edge, RoadNetwork, Vertex
@@ -25,10 +29,6 @@ from repro.roadnet.dijkstra import (
 )
 from repro.roadnet.generators import grid_road_network, random_road_network
 from repro.roadnet.datasets import DATASET_SPECS, load_dataset
-from repro.roadnet.astar import astar, bidirectional_dijkstra
-from repro.roadnet.contraction import ContractionHierarchy
-from repro.roadnet.metrics import GraphStats, estimate_diameter
-from repro.roadnet.simplify import contract_chains
 
 __all__ = [
     "Edge",
@@ -43,10 +43,4 @@ __all__ = [
     "random_road_network",
     "DATASET_SPECS",
     "load_dataset",
-    "astar",
-    "bidirectional_dijkstra",
-    "GraphStats",
-    "estimate_diameter",
-    "ContractionHierarchy",
-    "contract_chains",
 ]

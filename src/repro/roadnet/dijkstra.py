@@ -198,51 +198,3 @@ def shortest_path_distance(graph: RoadNetwork, source: int, dest: int) -> float:
         return 0.0
     dist = multi_source_dijkstra(graph, {source: 0.0}, targets=[dest])
     return dist.get(dest, _INF)
-
-
-def dijkstra_with_paths(
-    graph: RoadNetwork, source: int
-) -> tuple[dict[int, float], dict[int, int]]:
-    """Dijkstra that also records predecessor vertices.
-
-    Returns:
-        ``(dist, parent)`` where ``parent[v]`` is the vertex preceding
-        ``v`` on a shortest path (absent for the source / unreachable).
-    """
-    indptr, targets_arr, weights, _ = graph.csr_out()
-    dist: dict[int, float] = {}
-    parent: dict[int, int] = {}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    best = {source: 0.0}
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in dist:
-            continue
-        dist[v] = d
-        start, end = indptr[v], indptr[v + 1]
-        for i in range(start, end):
-            u = int(targets_arr[i])
-            nd = d + float(weights[i])
-            if nd < best.get(u, _INF):
-                best[u] = nd
-                parent[u] = v
-                heapq.heappush(heap, (nd, u))
-    return dist, parent
-
-
-def reconstruct_path(parent: Mapping[int, int], source: int, dest: int) -> list[int]:
-    """Rebuild the vertex path ``source -> dest`` from a parent map.
-
-    Returns an empty list when ``dest`` was not reached.
-    """
-    if dest == source:
-        return [source]
-    if dest not in parent:
-        return []
-    path = [dest]
-    v = dest
-    while v != source:
-        v = parent[v]
-        path.append(v)
-    path.reverse()
-    return path

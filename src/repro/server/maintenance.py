@@ -126,8 +126,3 @@ class BacklogCleaning:
             self.cells_cleaned += len(over)
             if self._counter is not None:
                 self._counter.inc(len(over))
-
-
-def max_backlog_cells(index: GGridIndex) -> int:
-    """The largest per-cell cached-message count (diagnostics)."""
-    return max((m.num_messages for m in index.lists.values()), default=0)

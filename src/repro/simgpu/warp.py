@@ -1,4 +1,4 @@
-"""Warp-level primitives: butterfly shuffle and friends.
+"""Warp-level primitive: the butterfly shuffle.
 
 CUDA's ``__shfl_xor_sync`` lets lane ``j`` of a warp read the register of
 lane ``j XOR mask`` with no shared-memory round trip; the paper builds its
@@ -50,31 +50,3 @@ def shuffle_xor(values: Sequence[T], lane_mask: int, width: int | None = None) -
         group = j - (j % width)
         out[j] = values[group + ((j % width) ^ lane_mask)]
     return out
-
-
-def lane_id(thread_id: int, warp_size: int) -> int:
-    """Lane index of a thread within its warp."""
-    if warp_size <= 0 or warp_size & (warp_size - 1):
-        raise KernelError(f"warp size must be a power of two, got {warp_size}")
-    return thread_id % warp_size
-
-
-def warp_id(thread_id: int, warp_size: int) -> int:
-    """Warp index of a thread."""
-    if warp_size <= 0 or warp_size & (warp_size - 1):
-        raise KernelError(f"warp size must be a power of two, got {warp_size}")
-    return thread_id // warp_size
-
-
-def bundle_spans(n_threads: int, bundle_size: int) -> list[range]:
-    """Thread-id ranges of the equi-sized bundles (Section IV-C1).
-
-    The final bundle may be short when ``n_threads`` is not a multiple of
-    ``bundle_size`` — the X-shuffle pads it with empty lanes.
-    """
-    if bundle_size <= 0 or bundle_size & (bundle_size - 1):
-        raise KernelError(f"bundle size must be a power of two, got {bundle_size}")
-    return [
-        range(start, min(start + bundle_size, n_threads))
-        for start in range(0, n_threads, bundle_size)
-    ]

@@ -157,8 +157,10 @@ class SubscriptionManager:
             has ``attach_subscriptions`` the manager attaches itself, so
             constructing one is all the wiring a caller needs.
         obs: observability bundle; defaults to the process-wide one.
-        bound: the cell-distance lower bound used for radius pruning;
-            the backend's own (router) is reused when present.
+
+    Radius pruning uses the backend's own cell-distance lower bound (a
+    router's ``bound``) when it has one, else a fresh
+    :class:`~repro.cluster.shardmap.CellDistanceBound` over its grid.
 
     The update tap must be attached **before** traffic flows: a member
     whose last report the manager never saw has no recorded report time,
@@ -170,7 +172,6 @@ class SubscriptionManager:
         self,
         backend: object,
         obs: Observability | None = None,
-        bound: CellDistanceBound | None = None,
     ) -> None:
         if not callable(getattr(backend, "query_batch", None)):
             raise SubscriptionError(
@@ -188,7 +189,7 @@ class SubscriptionManager:
             )
         self.grid = grid
         self.config = config
-        self.bound = bound or getattr(backend, "bound", None) or CellDistanceBound(grid)
+        self.bound = getattr(backend, "bound", None) or CellDistanceBound(grid)
         self.rule = StandingRule(grid, config.t_delta, self.bound)
         self._home = getattr(backend, "home_shard", None)
         self.obs = obs if obs is not None else default_observability()

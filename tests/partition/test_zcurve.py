@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.partition.zcurve import z_decode, z_encode, z_neighbors
+from repro.partition.zcurve import z_decode, z_encode
 
 
 def test_paper_example():
@@ -59,31 +59,10 @@ def test_negative_bits_rejected():
         z_encode(0, 0, -1)
 
 
-def test_neighbors_interior_cell():
-    nbrs = z_neighbors(z_encode(1, 1, 2), 2)
-    assert len(nbrs) == 8
-    coords = {z_decode(z, 2) for z in nbrs}
-    assert (0, 0) in coords and (2, 2) in coords and (1, 1) not in coords
-
-
-def test_neighbors_corner_cell():
-    nbrs = z_neighbors(z_encode(0, 0, 2), 2)
-    assert len(nbrs) == 3
-
-
-def test_neighbors_border_edge_cell():
-    """A non-corner cell on the grid border has exactly 5 neighbours."""
-    nbrs = z_neighbors(z_encode(1, 0, 2), 2)  # bottom edge, not a corner
-    assert len(nbrs) == 5
-    coords = {z_decode(z, 2) for z in nbrs}
-    assert coords == {(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)}
-
-
 def test_zero_bits_single_cell():
-    """bits=0 is a 1x1 grid: one cell, no neighbours."""
+    """bits=0 is a 1x1 grid: one cell."""
     assert z_encode(0, 0, 0) == 0
     assert z_decode(0, 0) == (0, 0)
-    assert z_neighbors(0, 0) == []
 
 
 # ----------------------------------------------------------------------
@@ -105,37 +84,3 @@ def test_roundtrip_at_any_bits(case):
     z = z_encode(x, y, bits)
     assert 0 <= z < 1 << (2 * bits)
     assert z_decode(z, bits) == (x, y)
-
-
-@settings(max_examples=60, deadline=None)
-@given(coordinate_grids)
-def test_neighbors_are_in_range_distinct_and_adjacent(case):
-    bits, x, y = case
-    z = z_encode(x, y, bits)
-    nbrs = z_neighbors(z, bits)
-    assert len(nbrs) == len(set(nbrs))
-    assert z not in nbrs
-    for n in nbrs:
-        nx, ny = z_decode(n, bits)
-        # 8-connectivity: Chebyshev distance exactly 1
-        assert max(abs(nx - x), abs(ny - y)) == 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(coordinate_grids)
-def test_neighbor_count_follows_border_position(case):
-    """3 at a corner, 5 on an edge, 8 in the interior."""
-    bits, x, y = case
-    side = 1 << bits
-    on_border = sum(c in (0, side - 1) for c in (x, y))
-    want = {0: 8, 1: 5, 2: 3}[on_border] if side > 1 else 0
-    assert len(z_neighbors(z_encode(x, y, bits), bits)) == want
-
-
-@settings(max_examples=40, deadline=None)
-@given(coordinate_grids)
-def test_neighbor_relation_is_symmetric(case):
-    bits, x, y = case
-    z = z_encode(x, y, bits)
-    for n in z_neighbors(z, bits):
-        assert z in z_neighbors(n, bits)

@@ -126,8 +126,6 @@ def test_every_config_field_but_gpu_roundtrips(small_graph, tmp_path):
         eta=2,
         rho=2.5,
         t_delta=30.0,
-        cpu_workers=3,
-        python_speedup=20.0,
         pipelined_transfers=False,
         sdist_early_exit=False,
         partitioner="geometric",

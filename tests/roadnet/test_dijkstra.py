@@ -12,9 +12,7 @@ from repro.roadnet.dijkstra import (
     SearchStats,
     bounded_dijkstra,
     dijkstra,
-    dijkstra_with_paths,
     multi_source_dijkstra,
-    reconstruct_path,
     shortest_path_distance,
 )
 from repro.roadnet.generators import grid_road_network
@@ -67,16 +65,6 @@ def test_bounded_dijkstra_respects_radius(line_graph):
 
 def test_bounded_dijkstra_zero_radius(line_graph):
     assert set(bounded_dijkstra(line_graph, 2, radius=0.0)) == {2}
-
-
-def test_paths_reconstruction(line_graph):
-    dist, parent = dijkstra_with_paths(line_graph, 0)
-    assert reconstruct_path(parent, 0, 3) == [0, 1, 2, 3]
-    assert reconstruct_path(parent, 0, 0) == [0]
-
-
-def test_reconstruct_unreached_returns_empty():
-    assert reconstruct_path({}, 0, 7) == []
 
 
 @settings(max_examples=20, deadline=None)

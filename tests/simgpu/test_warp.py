@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelError
-from repro.simgpu.warp import bundle_spans, lane_id, shuffle_xor, warp_id
+from repro.simgpu.warp import shuffle_xor
 
 
 def test_shuffle_paper_example():
@@ -56,30 +56,3 @@ def test_shuffle_bad_geometry():
         shuffle_xor([1, 2, 3, 4, 5], 1, width=4)  # not a multiple
     with pytest.raises(KernelError):
         shuffle_xor([1, 2, 3, 4], 4, width=4)  # mask escapes the group
-
-
-def test_lane_and_warp_ids():
-    assert lane_id(37, 32) == 5
-    assert warp_id(37, 32) == 1
-
-
-def test_lane_id_rejects_bad_warp():
-    with pytest.raises(KernelError):
-        lane_id(0, 3)
-    with pytest.raises(KernelError):
-        warp_id(0, 0)
-
-
-def test_bundle_spans_exact_division():
-    spans = bundle_spans(8, 4)
-    assert [list(s) for s in spans] == [[0, 1, 2, 3], [4, 5, 6, 7]]
-
-
-def test_bundle_spans_ragged_tail():
-    spans = bundle_spans(10, 4)
-    assert [len(s) for s in spans] == [4, 4, 2]
-
-
-def test_bundle_spans_rejects_non_power_of_two():
-    with pytest.raises(KernelError):
-        bundle_spans(10, 3)

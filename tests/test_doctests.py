@@ -15,7 +15,6 @@ import repro.mobility.patterns
 import repro.obs
 import repro.obs.tracing
 import repro.persist.snapshot
-import repro.roadnet.contraction
 import repro.roadnet.graph
 import repro.simgpu.device
 
@@ -28,7 +27,6 @@ MODULES = [
     repro.obs,
     repro.obs.tracing,
     repro.persist.snapshot,
-    repro.roadnet.contraction,
     repro.simgpu.device,
 ]
 

@@ -41,9 +41,3 @@ def test_fleet_comparison_importable():
 def test_dispatch_console_importable():
     module = _load("dispatch_console")
     assert callable(module.main)
-
-
-def test_point_to_point_runs(capsys):
-    _load("point_to_point").main()
-    out = capsys.readouterr().out
-    assert "All four agree" in out
